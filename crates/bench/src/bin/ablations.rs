@@ -9,7 +9,7 @@
 //! ```
 
 use multipath_bench::{run_cell, Budget, Cell};
-use multipath_core::{Features, RecycledPrediction, SimConfig};
+use multipath_core::{Features, RecycledPrediction, RunSpec, SimConfig};
 use multipath_workload::{mix, Benchmark};
 
 fn budget() -> Budget {
@@ -180,8 +180,9 @@ fn loop_size_vs_recycling() {
         };
         let program = multipath_workload::micro::build(&params, 1);
         let config = SimConfig::big_2_16().with_features(Features::rec_rs_ru());
-        let mut sim = multipath_core::Simulator::new(config, vec![program]);
-        let s = sim.run(budget().committed_per_program, 2_000_000).clone();
+        let s = RunSpec::new(config, vec![program], budget().committed_per_program)
+            .run()
+            .stats;
         println!(
             "{:>10} {:>8.2} {:>10.1} {:>8}",
             body,

@@ -18,10 +18,14 @@
 //! which configuration wins, how gains move with program count, and where
 //! the recycling statistics land.
 
-use multipath_core::{AltPolicy, Features, SimConfig, Simulator, Stats};
+use multipath_core::{AltPolicy, EventFilter, Features, ProbeConfig, RunSpec, SimConfig, Stats};
 use multipath_workload::{mix, Benchmark};
 
 pub mod parallel;
+mod table;
+
+pub use table::Table;
+use table::Value;
 
 /// How big each simulation is.
 #[derive(Debug, Clone, Copy)]
@@ -95,13 +99,24 @@ pub struct Cell {
     pub seed: u64,
 }
 
+impl Cell {
+    /// The run behind this cell: the budget's commits per program and its
+    /// cycle cap.
+    pub fn spec(&self, budget: &Budget) -> RunSpec {
+        RunSpec {
+            max_cycles: Some(budget.max_cycles),
+            ..RunSpec::new(
+                self.config.clone(),
+                mix::programs(&self.workload, self.seed),
+                budget.committed_per_program,
+            )
+        }
+    }
+}
+
 /// Runs one cell to the budget and returns the statistics.
 pub fn run_cell(cell: &Cell, budget: &Budget) -> Stats {
-    let programs = mix::programs(&cell.workload, cell.seed);
-    let mut sim = Simulator::new(cell.config.clone(), programs);
-    let total = budget.committed_per_program * cell.workload.len() as u64;
-    sim.run(total, budget.max_cycles);
-    sim.stats().clone()
+    cell.spec(budget).run().stats
 }
 
 /// Runs one cell with the full observability stack enabled — interval
@@ -110,54 +125,18 @@ pub fn run_cell(cell: &Cell, budget: &Budget) -> Stats {
 /// perturbing, so the returned statistics are bit-identical to
 /// [`run_cell`]'s (the harness asserts this).
 pub fn run_cell_probed(cell: &Cell, budget: &Budget) -> Stats {
-    use multipath_core::{EventFilter, ProbeConfig};
-    let programs = mix::programs(&cell.workload, cell.seed);
-    let mut sim = Simulator::new(cell.config.clone(), programs);
-    sim.enable_probes(ProbeConfig {
-        ring: Some(1024),
-        interval: Some(100),
-        spans: true,
-        explain: true,
-        filter: EventFilter::all(),
-    });
-    let total = budget.committed_per_program * cell.workload.len() as u64;
-    sim.run(total, budget.max_cycles);
-    sim.finish_probes();
-    sim.stats().clone()
-}
-
-/// Runs one cell with only the explain sinks (attribution + path tree)
-/// enabled and returns them alongside the statistics. Serial by design:
-/// the sinks carry per-run state that the parallel engine's `Stats`-only
-/// aggregation cannot transport.
-pub fn run_cell_explained(
-    cell: &Cell,
-    budget: &Budget,
-) -> (
-    Stats,
-    multipath_core::AttributionSink,
-    multipath_core::PathTreeSink,
-) {
-    use multipath_core::{EventFilter, ProbeConfig};
-    let programs = mix::programs(&cell.workload, cell.seed);
-    let mut sim = Simulator::new(cell.config.clone(), programs);
-    sim.enable_probes(ProbeConfig {
-        ring: None,
-        interval: None,
-        spans: false,
-        explain: true,
-        filter: EventFilter::all(),
-    });
-    let total = budget.committed_per_program * cell.workload.len() as u64;
-    sim.run(total, budget.max_cycles);
-    sim.finish_probes();
-    let stats = sim.stats().clone();
-    let probes = sim.take_probes().expect("probes enabled");
-    (
-        stats,
-        probes.attribution.expect("attribution sink on"),
-        probes.tree.expect("path-tree sink on"),
-    )
+    RunSpec {
+        probes: Some(ProbeConfig {
+            ring: Some(1024),
+            interval: Some(100),
+            spans: true,
+            explain: true,
+            filter: EventFilter::all(),
+        }),
+        ..cell.spec(budget)
+    }
+    .run()
+    .stats
 }
 
 /// The cell for `bench` running alone under `features` on the baseline
@@ -198,14 +177,24 @@ fn mean_ipc(stats: &[Stats]) -> f64 {
     stats.iter().map(Stats::ipc).sum::<f64>() / stats.len() as f64
 }
 
-/// Average IPC over the paper's evenly-weighted permutations of `n`
-/// programs (limited to `budget.mixes` rotations).
-pub fn average_ipc(config: &SimConfig, n_programs: usize, budget: &Budget) -> f64 {
-    mean_ipc(&parallel::run_cells(
-        &mix_cells(config, n_programs, budget),
-        budget,
-    ))
+/// Runs every group of cells in one parallel sweep and returns each
+/// group's mean IPC, in group order.
+fn group_mean_ipcs(groups: Vec<Vec<Cell>>, budget: &Budget) -> Vec<f64> {
+    let lens: Vec<usize> = groups.iter().map(Vec::len).collect();
+    let cells: Vec<Cell> = groups.into_iter().flatten().collect();
+    let stats = parallel::run_cells(&cells, budget);
+    let mut rest = &stats[..];
+    lens.into_iter()
+        .map(|n| {
+            let (group, tail) = rest.split_at(n);
+            rest = tail;
+            mean_ipc(group)
+        })
+        .collect()
 }
+
+/// The program counts of the multi-program figures.
+const PROGRAM_COUNTS: [usize; 3] = [1, 2, 4];
 
 // ---------------------------------------------------------------------
 // Figure 3: per-program IPC under the six configurations.
@@ -252,33 +241,36 @@ pub fn figure3(budget: &Budget) -> Vec<Fig3Row> {
         .collect()
 }
 
-/// Renders Figure 3 as an aligned text table.
-pub fn render_figure3(rows: &[Fig3Row]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{:10}", "bench"));
+/// The six feature configurations as table columns (Figures 3 and 4).
+fn feature_columns(mut table: Table) -> Table {
     for f in Features::all_six() {
-        out.push_str(&format!(" {:>9}", f.label()));
+        let csv = f.label().to_lowercase().replace('/', "_");
+        table = table.column(f.label(), &csv, 9, Some((2, 4)));
     }
-    out.push('\n');
-    for row in rows {
-        out.push_str(&format!("{:10}", row.bench.name()));
-        for v in row.ipc {
-            out.push_str(&format!(" {v:>9.2}"));
+    table
+}
+
+impl Fig3Row {
+    /// Figure 3 as a table, with an `average` row in the text form.
+    pub fn table(rows: &[Fig3Row]) -> Table {
+        let mut table = feature_columns(Table::default().column("bench", "bench", 10, None));
+        let mut avg = [0.0; 6];
+        for row in rows {
+            for (a, v) in avg.iter_mut().zip(row.ipc) {
+                *a += v / rows.len() as f64;
+            }
+            table.row(labelled(row.bench.name(), row.ipc));
         }
-        out.push('\n');
+        table.summary_row(labelled("average", avg));
+        table
     }
-    let mut avg = [0.0; 6];
-    for row in rows {
-        for (a, v) in avg.iter_mut().zip(row.ipc) {
-            *a += v / rows.len() as f64;
-        }
-    }
-    out.push_str(&format!("{:10}", "average"));
-    for v in avg {
-        out.push_str(&format!(" {v:>9.2}"));
-    }
-    out.push('\n');
-    out
+}
+
+/// A row of a label followed by reals.
+fn labelled<const N: usize>(label: &str, values: [f64; N]) -> Vec<Value> {
+    std::iter::once(Value::Text(label.to_owned()))
+        .chain(values.map(Value::Real))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -297,46 +289,35 @@ pub struct Fig4Row {
 /// Runs Figure 4. The whole grid (3 program counts × 6 configurations ×
 /// up to 8 mixes) is flattened into one parallel sweep.
 pub fn figure4(budget: &Budget) -> Vec<Fig4Row> {
-    let mut cells = Vec::new();
-    let mut spans = Vec::new();
-    for n in [1usize, 2, 4] {
-        for features in Features::all_six() {
-            let config = SimConfig::big_2_16().with_features(features);
-            let start = cells.len();
-            cells.extend(mix_cells(&config, n, budget));
-            spans.push(start..cells.len());
-        }
-    }
-    let stats = parallel::run_cells(&cells, budget);
-    [1usize, 2, 4]
+    let groups = PROGRAM_COUNTS
         .into_iter()
-        .enumerate()
-        .map(|(ni, n)| {
-            let mut ipc = [0.0; 6];
-            for (fi, v) in ipc.iter_mut().enumerate() {
-                *v = mean_ipc(&stats[spans[ni * 6 + fi].clone()]);
-            }
-            Fig4Row { programs: n, ipc }
+        .flat_map(|n| {
+            Features::all_six()
+                .map(|f| mix_cells(&SimConfig::big_2_16().with_features(f), n, budget))
+        })
+        .collect();
+    let means = group_mean_ipcs(groups, budget);
+    PROGRAM_COUNTS
+        .into_iter()
+        .zip(means.chunks(6))
+        .map(|(programs, ipc)| Fig4Row {
+            programs,
+            ipc: ipc.try_into().expect("six configurations"),
         })
         .collect()
 }
 
-/// Renders Figure 4 as an aligned text table.
-pub fn render_figure4(rows: &[Fig4Row]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{:10}", "programs"));
-    for f in Features::all_six() {
-        out.push_str(&format!(" {:>9}", f.label()));
-    }
-    out.push('\n');
-    for row in rows {
-        out.push_str(&format!("{:10}", row.programs));
-        for v in row.ipc {
-            out.push_str(&format!(" {v:>9.2}"));
+impl Fig4Row {
+    /// Figure 4 as a table.
+    pub fn table(rows: &[Fig4Row]) -> Table {
+        let mut table = feature_columns(Table::default().column("programs", "programs", 10, None));
+        for row in rows {
+            let mut values = vec![Value::Count(row.programs as u64)];
+            values.extend(row.ipc.map(Value::Real));
+            table.row(values);
         }
-        out.push('\n');
+        table
     }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -356,49 +337,43 @@ pub struct Fig5Row {
 /// flattened into one parallel sweep.
 pub fn figure5(budget: &Budget) -> Vec<Fig5Row> {
     let policies = AltPolicy::figure5_sweep();
-    let mut cells = Vec::new();
-    let mut spans = Vec::new();
-    for &policy in &policies {
-        let config = SimConfig::big_2_16()
-            .with_features(Features::rec_rs_ru())
-            .with_alt_policy(policy);
-        for n in [1usize, 2, 4] {
-            let start = cells.len();
-            cells.extend(mix_cells(&config, n, budget));
-            spans.push(start..cells.len());
-        }
-    }
-    let stats = parallel::run_cells(&cells, budget);
+    let groups = policies
+        .iter()
+        .flat_map(|&policy| {
+            let config = SimConfig::big_2_16()
+                .with_features(Features::rec_rs_ru())
+                .with_alt_policy(policy);
+            PROGRAM_COUNTS.map(|n| mix_cells(&config, n, budget))
+        })
+        .collect();
+    let means = group_mean_ipcs(groups, budget);
     policies
         .into_iter()
-        .enumerate()
-        .map(|(pi, policy)| {
-            let mut ipc = [0.0; 3];
-            for (ni, v) in ipc.iter_mut().enumerate() {
-                *v = mean_ipc(&stats[spans[pi * 3 + ni].clone()]);
-            }
-            Fig5Row { policy, ipc }
+        .zip(means.chunks(3))
+        .map(|(policy, ipc)| Fig5Row {
+            policy,
+            ipc: ipc.try_into().expect("three program counts"),
         })
         .collect()
 }
 
-/// Renders Figure 5 as an aligned text table.
-pub fn render_figure5(rows: &[Fig5Row]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:12} {:>10} {:>10} {:>10}\n",
-        "policy", "1 prog", "2 progs", "4 progs"
-    ));
-    for row in rows {
-        out.push_str(&format!(
-            "{:12} {:>10.2} {:>10.2} {:>10.2}\n",
-            row.policy.label(),
-            row.ipc[0],
-            row.ipc[1],
-            row.ipc[2]
-        ));
+/// The 1/2/4-program columns (Figures 5 and 6).
+fn program_columns(table: Table) -> Table {
+    table
+        .column("1 prog", "p1", 10, Some((2, 4)))
+        .column("2 progs", "p2", 10, Some((2, 4)))
+        .column("4 progs", "p4", 10, Some((2, 4)))
+}
+
+impl Fig5Row {
+    /// Figure 5 as a table.
+    pub fn table(rows: &[Fig5Row]) -> Table {
+        let mut table = program_columns(Table::default().column("policy", "policy", 12, None));
+        for row in rows {
+            table.row(labelled(&row.policy.label(), row.ipc));
+        }
+        table
     }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -429,57 +404,43 @@ pub struct Fig6Row {
 /// Runs Figure 6 (SMT vs TME vs REC/RS/RU on each machine model),
 /// flattened into one parallel sweep.
 pub fn figure6(budget: &Budget) -> Vec<Fig6Row> {
-    let mut cells = Vec::new();
-    let mut keys = Vec::new();
-    let mut spans = Vec::new();
-    for (machine, base) in figure6_machines() {
-        for features in [Features::smt(), Features::tme(), Features::rec_rs_ru()] {
-            let config = base.clone().with_features(features);
-            let mut row_spans = [0..0, 0..0, 0..0];
-            for (ni, n) in [1usize, 2, 4].into_iter().enumerate() {
-                let start = cells.len();
-                cells.extend(mix_cells(&config, n, budget));
-                row_spans[ni] = start..cells.len();
-            }
-            keys.push((machine, features));
-            spans.push(row_spans);
-        }
-    }
-    let stats = parallel::run_cells(&cells, budget);
+    let keys: Vec<(&'static str, Features, SimConfig)> = figure6_machines()
+        .into_iter()
+        .flat_map(|(machine, base)| {
+            [Features::smt(), Features::tme(), Features::rec_rs_ru()]
+                .map(|f| (machine, f, base.clone().with_features(f)))
+        })
+        .collect();
+    let groups = keys
+        .iter()
+        .flat_map(|(_, _, config)| PROGRAM_COUNTS.map(|n| mix_cells(config, n, budget)))
+        .collect();
+    let means = group_mean_ipcs(groups, budget);
     keys.into_iter()
-        .zip(spans)
-        .map(|((machine, features), row_spans)| {
-            let mut ipc = [0.0; 3];
-            for (ni, v) in ipc.iter_mut().enumerate() {
-                *v = mean_ipc(&stats[row_spans[ni].clone()]);
-            }
-            Fig6Row {
-                machine,
-                features,
-                ipc,
-            }
+        .zip(means.chunks(3))
+        .map(|((machine, features, _), ipc)| Fig6Row {
+            machine,
+            features,
+            ipc: ipc.try_into().expect("three program counts"),
         })
         .collect()
 }
 
-/// Renders Figure 6 as an aligned text table.
-pub fn render_figure6(rows: &[Fig6Row]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:10} {:10} {:>10} {:>10} {:>10}\n",
-        "machine", "config", "1 prog", "2 progs", "4 progs"
-    ));
-    for row in rows {
-        out.push_str(&format!(
-            "{:10} {:10} {:>10.2} {:>10.2} {:>10.2}\n",
-            row.machine,
-            row.features.label(),
-            row.ipc[0],
-            row.ipc[1],
-            row.ipc[2]
-        ));
+impl Fig6Row {
+    /// Figure 6 as a table.
+    pub fn table(rows: &[Fig6Row]) -> Table {
+        let mut table = program_columns(
+            Table::default()
+                .column("machine", "machine", 10, None)
+                .column("config", "config", 10, None),
+        );
+        for row in rows {
+            let mut values = vec![Value::Text(row.machine.to_owned())];
+            values.extend(labelled(row.features.label(), row.ipc));
+            table.row(values);
+        }
+        table
     }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -523,6 +484,36 @@ impl Table1Row {
             pct_back_merges: s.pct_back_merges(),
         }
     }
+
+    /// Table 1 as a table.
+    pub fn table(rows: &[Table1Row]) -> Table {
+        let mut table = Table::default()
+            .column("program", "program", 12, None)
+            .column("recyc%", "recycled_pct", 8, Some((1, 2)))
+            .column("reuse%", "reused_pct", 7, Some((1, 2)))
+            .column("misscov%", "misscov_pct", 9, Some((1, 2)))
+            .column("tme%", "forks_tme_pct", 6, Some((1, 2)))
+            .column("recyc%", "forks_recycled_pct", 6, Some((1, 2)))
+            .column("respawn%", "forks_respawned_pct", 8, Some((1, 2)))
+            .column("merges/alt", "merges_per_alt", 10, Some((1, 2)))
+            .column("back%", "back_merges_pct", 7, Some((1, 2)));
+        for r in rows {
+            table.row(labelled(
+                &r.label,
+                [
+                    r.pct_recycled,
+                    r.pct_reused,
+                    r.pct_miss_cov,
+                    r.pct_forks_tme,
+                    r.pct_forks_recycled,
+                    r.pct_forks_respawned,
+                    r.merges_per_alt,
+                    r.pct_back_merges,
+                ],
+            ));
+        }
+        table
+    }
 }
 
 /// Runs Table 1: per-benchmark recycling statistics under REC/RS/RU, plus
@@ -564,59 +555,9 @@ pub fn table1(budget: &Budget) -> Vec<Table1Row> {
 fn combine(all: &[Stats]) -> Stats {
     let mut acc = Stats::new(1);
     for s in all {
-        acc.cycles += s.cycles;
-        acc.committed += s.committed;
-        acc.renamed += s.renamed;
-        acc.recycled += s.recycled;
-        acc.reused += s.reused;
-        acc.fetched += s.fetched;
-        acc.squashed += s.squashed;
-        acc.branches += s.branches;
-        acc.mispredicts += s.mispredicts;
-        acc.mispredicts_covered += s.mispredicts_covered;
-        acc.forks += s.forks;
-        acc.forks_used_tme += s.forks_used_tme;
-        acc.forks_recycled += s.forks_recycled;
-        acc.forks_respawned += s.forks_respawned;
-        acc.respawns += s.respawns;
-        acc.merges += s.merges;
-        acc.back_merges += s.back_merges;
-        acc.alt_path_merge_sum += s.alt_path_merge_sum;
-        acc.recoveries += s.recoveries;
+        acc.add_counters(s);
     }
     acc
-}
-
-/// Renders Table 1 as an aligned text table.
-pub fn render_table1(rows: &[Table1Row]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:12} {:>8} {:>7} {:>9} {:>6} {:>6} {:>8} {:>10} {:>7}\n",
-        "program",
-        "recyc%",
-        "reuse%",
-        "misscov%",
-        "tme%",
-        "recyc%",
-        "respawn%",
-        "merges/alt",
-        "back%"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:12} {:>8.1} {:>7.1} {:>9.1} {:>6.1} {:>6.1} {:>8.1} {:>10.1} {:>7.1}\n",
-            r.label,
-            r.pct_recycled,
-            r.pct_reused,
-            r.pct_miss_cov,
-            r.pct_forks_tme,
-            r.pct_forks_recycled,
-            r.pct_forks_respawned,
-            r.merges_per_alt,
-            r.pct_back_merges
-        ));
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -650,17 +591,53 @@ impl ExplainRow {
             100.0 * self.reused as f64 / self.recycled as f64
         }
     }
+
+    /// The explain attribution as a table, cause columns in
+    /// `ReuseDeny::ALL` order.
+    pub fn table(rows: &[ExplainRow]) -> Table {
+        let mut table = Table::default()
+            .column("bench", "bench", 10, None)
+            .column("recycled", "recycled", 9, Some((0, 0)))
+            .column("reused", "reused", 8, Some((0, 0)))
+            .column("yield%", "yield_pct", 7, Some((1, 2)));
+        for cause in multipath_core::ReuseDeny::ALL {
+            table = table.column(short_cause(cause.name()), cause.name(), 12, Some((0, 0)));
+        }
+        table = table.column("refused", "fork_refused", 8, Some((0, 0)));
+        for r in rows {
+            let mut values = vec![
+                Value::Text(r.bench.name().to_owned()),
+                Value::Count(r.recycled),
+                Value::Count(r.reused),
+                Value::Real(r.yield_pct()),
+            ];
+            values.extend(r.denied.map(Value::Count));
+            values.push(Value::Count(r.fork_refused));
+            table.row(values);
+        }
+        table
+    }
 }
 
-/// Runs the explain attribution for every kernel under REC/RS/RU. Serial
-/// (see [`run_cell_explained`]); with the quick budget this is the cost
+/// Runs the explain attribution for every kernel under REC/RS/RU. Serial:
+/// the sinks carry per-run state that the parallel engine's `Stats`-only
+/// aggregation cannot transport. With the quick budget this is the cost
 /// of one extra Table 1 column pass.
 pub fn explain_rows(budget: &Budget) -> Vec<ExplainRow> {
     Benchmark::ALL
         .into_iter()
         .map(|bench| {
-            let cell = single_cell(bench, Features::rec_rs_ru(), budget);
-            let (stats, attr, _tree) = run_cell_explained(&cell, budget);
+            let outcome = RunSpec {
+                probes: Some(ProbeConfig {
+                    interval: None,
+                    explain: true,
+                    ..ProbeConfig::default()
+                }),
+                ..single_cell(bench, Features::rec_rs_ru(), budget).spec(budget)
+            }
+            .run();
+            let (stats, probes) = (outcome.stats, outcome.probes.expect("probes enabled"));
+            let attr = probes.attribution.expect("attribution sink on");
             ExplainRow {
                 bench,
                 recycled: stats.recycled,
@@ -670,33 +647,6 @@ pub fn explain_rows(budget: &Budget) -> Vec<ExplainRow> {
             }
         })
         .collect()
-}
-
-/// Renders the explain attribution as an aligned text table.
-pub fn render_explain(rows: &[ExplainRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:10} {:>9} {:>8} {:>7}",
-        "bench", "recycled", "reused", "yield%"
-    ));
-    for cause in multipath_core::ReuseDeny::ALL {
-        out.push_str(&format!(" {:>12}", short_cause(cause.name())));
-    }
-    out.push_str(&format!(" {:>8}\n", "refused"));
-    for r in rows {
-        out.push_str(&format!(
-            "{:10} {:>9} {:>8} {:>7.1}",
-            r.bench.name(),
-            r.recycled,
-            r.reused,
-            r.yield_pct()
-        ));
-        for v in r.denied {
-            out.push_str(&format!(" {v:>12}"));
-        }
-        out.push_str(&format!(" {:>8}\n", r.fork_refused));
-    }
-    out
 }
 
 /// Abbreviates a `ReuseDeny` name so the text table stays narrow.
@@ -713,120 +663,21 @@ fn short_cause(name: &str) -> &str {
     }
 }
 
-/// Explain attribution as CSV, cause columns in `ReuseDeny::ALL` order.
-pub fn render_explain_csv(rows: &[ExplainRow]) -> String {
-    let mut out = String::from("bench,recycled,reused,yield_pct");
-    for cause in multipath_core::ReuseDeny::ALL {
-        out.push(',');
-        out.push_str(cause.name());
-    }
-    out.push_str(",fork_refused\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{:.2}",
-            r.bench.name(),
-            r.recycled,
-            r.reused,
-            r.yield_pct()
-        ));
-        for v in r.denied {
-            out.push_str(&format!(",{v}"));
-        }
-        out.push_str(&format!(",{}\n", r.fork_refused));
-    }
-    out
-}
+/// The figures [`figure_table`] knows, in render order.
+pub const FIGURES: [&str; 6] = ["fig3", "fig4", "fig5", "fig6", "table1", "explain"];
 
-// ---------------------------------------------------------------------
-// CSV rendering (for plotting): set MP_FORMAT=csv on any figure binary.
-// ---------------------------------------------------------------------
-
-/// Whether the binaries should emit CSV instead of aligned text.
-pub fn csv_requested() -> bool {
-    std::env::var("MP_FORMAT").is_ok_and(|v| v == "csv")
-}
-
-/// Figure 3 as CSV (`bench,smt,tme,rec,rec_ru,rec_rs,rec_rs_ru`).
-pub fn render_figure3_csv(rows: &[Fig3Row]) -> String {
-    let mut out = String::from("bench,smt,tme,rec,rec_ru,rec_rs,rec_rs_ru\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4}\n",
-            r.bench.name(),
-            r.ipc[0],
-            r.ipc[1],
-            r.ipc[2],
-            r.ipc[3],
-            r.ipc[4],
-            r.ipc[5]
-        ));
+/// Runs the named figure and returns its table; panics on a name not in
+/// [`FIGURES`].
+pub fn figure_table(name: &str, budget: &Budget) -> Table {
+    match name {
+        "fig3" => Fig3Row::table(&figure3(budget)),
+        "fig4" => Fig4Row::table(&figure4(budget)),
+        "fig5" => Fig5Row::table(&figure5(budget)),
+        "fig6" => Fig6Row::table(&figure6(budget)),
+        "table1" => Table1Row::table(&table1(budget)),
+        "explain" => ExplainRow::table(&explain_rows(budget)),
+        other => panic!("unknown figure {other:?} (expected one of {FIGURES:?})"),
     }
-    out
-}
-
-/// Figure 4 as CSV (`programs,smt,...`).
-pub fn render_figure4_csv(rows: &[Fig4Row]) -> String {
-    let mut out = String::from("programs,smt,tme,rec,rec_ru,rec_rs,rec_rs_ru\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4}\n",
-            r.programs, r.ipc[0], r.ipc[1], r.ipc[2], r.ipc[3], r.ipc[4], r.ipc[5]
-        ));
-    }
-    out
-}
-
-/// Figure 5 as CSV (`policy,p1,p2,p4`).
-pub fn render_figure5_csv(rows: &[Fig5Row]) -> String {
-    let mut out = String::from("policy,p1,p2,p4\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{},{:.4},{:.4},{:.4}\n",
-            r.policy.label(),
-            r.ipc[0],
-            r.ipc[1],
-            r.ipc[2]
-        ));
-    }
-    out
-}
-
-/// Figure 6 as CSV (`machine,config,p1,p2,p4`).
-pub fn render_figure6_csv(rows: &[Fig6Row]) -> String {
-    let mut out = String::from("machine,config,p1,p2,p4\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{:.4},{:.4},{:.4}\n",
-            r.machine,
-            r.features.label(),
-            r.ipc[0],
-            r.ipc[1],
-            r.ipc[2]
-        ));
-    }
-    out
-}
-
-/// Table 1 as CSV.
-pub fn render_table1_csv(rows: &[Table1Row]) -> String {
-    let mut out = String::from(
-        "program,recycled_pct,reused_pct,misscov_pct,forks_tme_pct,forks_recycled_pct,forks_respawned_pct,merges_per_alt,back_merges_pct\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2}\n",
-            r.label,
-            r.pct_recycled,
-            r.pct_reused,
-            r.pct_miss_cov,
-            r.pct_forks_tme,
-            r.pct_forks_recycled,
-            r.pct_forks_respawned,
-            r.merges_per_alt,
-            r.pct_back_merges
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -844,7 +695,7 @@ mod tests {
                 assert!(v > 0.05, "{}: degenerate IPC {v}", row.bench);
             }
         }
-        let text = render_figure3(&rows);
+        let text = Fig3Row::table(&rows).text();
         assert!(text.contains("compress"));
         assert!(text.contains("average"));
     }
@@ -864,10 +715,11 @@ mod tests {
                 r.bench
             );
         }
-        let text = render_explain(&rows);
+        let table = ExplainRow::table(&rows);
+        let text = table.text();
         assert!(text.contains("compress"));
         assert!(text.contains("yield%"));
-        let csv = render_explain_csv(&rows);
+        let csv = table.csv();
         assert!(csv.starts_with("bench,recycled,reused,yield_pct,reuse_disabled"));
     }
 
@@ -885,7 +737,7 @@ mod tests {
             avg.pct_recycled > 1.0,
             "recycling should be visible: {avg:?}"
         );
-        let text = render_table1(&rows);
+        let text = Table1Row::table(&rows).text();
         assert!(text.contains("4 progs avg"));
     }
 }

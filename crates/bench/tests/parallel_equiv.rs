@@ -3,7 +3,7 @@
 //! rendered table, must be bit-identical whether cells run on one worker
 //! or many.
 
-use multipath_bench::{parallel, render_figure3, run_cell, Budget, Cell, Fig3Row};
+use multipath_bench::{parallel, run_cell, Budget, Cell, Fig3Row};
 use multipath_core::{Features, SimConfig};
 use multipath_workload::{mix, Benchmark};
 
@@ -77,7 +77,7 @@ fn rendered_tables_are_byte_identical_across_thread_counts() {
                 Fig3Row { bench, ipc }
             })
             .collect();
-        render_figure3(&rows)
+        Fig3Row::table(&rows).text()
     };
     let serial = render(&parallel::map_with(1, &cells, |c| run_cell(c, &budget)));
     let sharded = render(&parallel::map_with(6, &cells, |c| run_cell(c, &budget)));

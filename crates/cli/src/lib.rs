@@ -13,12 +13,10 @@
 //! [`AltPolicy::from_label`]) so the CLI, the serving API, and the docs
 //! all share one vocabulary.
 
-use multipath_core::{AltPolicy, EventFilter, Features, SimConfig};
+pub use multipath_bench::FIGURES;
+use multipath_core::{AltPolicy, EventFilter, Features, RunSpec, SimConfig};
 use multipath_serve::ServeConfig;
-use multipath_workload::Benchmark;
-
-/// The figure names `multipath figures` accepts, in render order.
-pub const FIGURES: [&str; 6] = ["fig3", "fig4", "fig5", "fig6", "table1", "explain"];
+use multipath_workload::{mix, Benchmark};
 
 /// The usage text printed on any parse error.
 pub const USAGE: &str = "usage:\n  multipath run [OPTIONS] <BENCH>...\n  \
@@ -56,6 +54,22 @@ pub struct Options {
     pub seed: u64,
     /// The kernels to co-schedule (at least one).
     pub benches: Vec<Benchmark>,
+}
+
+impl Options {
+    /// The run these options describe under `features` (the same budget
+    /// and cycle cap `multipath serve` applies to a request).
+    pub fn spec(&self, features: Features) -> RunSpec {
+        let mut config = self.machine.clone().with_features(features);
+        if let Some(p) = self.policy {
+            config = config.with_alt_policy(p);
+        }
+        RunSpec::new(
+            config,
+            mix::programs(&self.benches, self.seed),
+            self.commits,
+        )
+    }
 }
 
 /// `multipath trace`-specific options.
@@ -186,7 +200,12 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
                 opts.policy =
                     Some(AltPolicy::from_label(v).ok_or_else(|| format!("unknown policy '{v}'"))?);
             }
-            "--commits" => opts.commits = parse_number(flag_value(&mut it, "--commits")?)?,
+            "--commits" => {
+                opts.commits = parse_number(flag_value(&mut it, "--commits")?)?;
+                if opts.commits == 0 {
+                    return Err("\"commits\" must be positive".to_owned());
+                }
+            }
             "--seed" => opts.seed = parse_number(flag_value(&mut it, "--seed")?)?,
             name => match Benchmark::from_name(name) {
                 Some(b) => opts.benches.push(b),
@@ -409,6 +428,7 @@ mod tests {
             "run compress --machine tiny.0.0",
             "run compress --policy stop8",
             "run compress --commits many",
+            "run compress --commits 0",
             "trace compress --format yaml",
             "figures fig9",
             "disasm",
@@ -419,6 +439,25 @@ mod tests {
         ] {
             assert!(parse_invocation(&argv(bad)).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn zero_commits_get_the_service_message() {
+        let err = parse_invocation(&argv("run compress --commits 0")).unwrap_err();
+        assert_eq!(err, "\"commits\" must be positive");
+    }
+
+    #[test]
+    fn huge_commit_budgets_saturate_instead_of_wrapping() {
+        // 2^63 per program times two programs wraps to 0 in u64.
+        let Ok(Invocation::Run(opts)) =
+            parse_invocation(&argv("run compress compress --commits 9223372036854775808"))
+        else {
+            panic!("a huge budget is a valid command line");
+        };
+        let spec = opts.spec(opts.features);
+        assert_eq!(spec.total_commits(), u64::MAX);
+        assert_eq!(spec.cycle_cap(), u64::MAX);
     }
 
     #[test]

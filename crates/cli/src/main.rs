@@ -52,9 +52,9 @@
 use multipath_cli::{
     parse_invocation, ExplainOptions, Invocation, Options, ServeOptions, TraceOptions, USAGE,
 };
-use multipath_core::{stats_json, Features, ProbeConfig, SimConfig, Simulator, Stats};
+use multipath_core::{stats_json, Features, ProbeConfig, RunSpec, Stats};
 use multipath_serve::{signal, Server};
-use multipath_workload::{kernels, mix};
+use multipath_workload::kernels;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -71,22 +71,6 @@ fn write_creating_dirs(path: &str, contents: &str) -> std::io::Result<()> {
         }
     }
     std::fs::write(path, contents)
-}
-
-fn configure(opts: &Options, features: Features) -> SimConfig {
-    let mut config = opts.machine.clone().with_features(features);
-    if let Some(p) = opts.policy {
-        config = config.with_alt_policy(p);
-    }
-    config
-}
-
-fn simulate(opts: &Options, features: Features) -> Stats {
-    let programs = mix::programs(&opts.benches, opts.seed);
-    let mut sim = Simulator::new(configure(opts, features), programs);
-    let total = opts.commits * opts.benches.len() as u64;
-    sim.run(total, total.saturating_mul(100).max(1_000_000));
-    sim.stats().clone()
 }
 
 fn print_stats(label: &str, s: &Stats) {
@@ -106,7 +90,7 @@ fn print_stats(label: &str, s: &Stats) {
 }
 
 fn cmd_run(opts: &Options) -> ExitCode {
-    let stats = simulate(opts, opts.features);
+    let stats = opts.spec(opts.features).run().stats;
     let names: Vec<&str> = opts.benches.iter().map(|b| b.name()).collect();
     println!(
         "workload: {} | {} committed in {} cycles",
@@ -119,30 +103,22 @@ fn cmd_run(opts: &Options) -> ExitCode {
 }
 
 fn cmd_trace(topts: &TraceOptions, opts: &Options) -> ExitCode {
-    let programs = mix::programs(&opts.benches, opts.seed);
-    let mut sim = Simulator::new(configure(opts, opts.features), programs);
-    sim.enable_probes(ProbeConfig {
-        ring: topts.print_events.map(|n| n.max(1)),
-        interval: Some(topts.interval.max(1)),
-        spans: true,
-        explain: false,
-        filter: topts.filter,
-    });
-    sim.enable_host_profile();
-
-    let total = opts.commits * opts.benches.len() as u64;
-    sim.run(total, total.saturating_mul(100).max(1_000_000));
-
-    // The text timeline samples *after* the commit target: the machine is
-    // warmed up and still running (unless the programs halted).
-    let timeline = topts.timeline.map(|cycles| {
-        let samples = multipath_core::trace::sample_window(&mut sim, cycles);
-        let stride = (cycles / 48).max(1) as usize;
-        multipath_core::trace::render_timeline(&samples, stride)
-    });
-    sim.finish_probes();
-
-    let stats = sim.stats().clone();
+    let spec = RunSpec {
+        probes: Some(ProbeConfig {
+            ring: topts.print_events.map(|n| n.max(1)),
+            interval: Some(topts.interval.max(1)),
+            spans: true,
+            explain: false,
+            filter: topts.filter,
+        }),
+        profile: true,
+        timeline: topts.timeline,
+        ..opts.spec(opts.features)
+    };
+    let contexts = spec.config.contexts;
+    let outcome = spec.run();
+    let probes = outcome.probes.expect("probes were enabled");
+    let stats = outcome.stats;
     let names: Vec<&str> = opts.benches.iter().map(|b| b.name()).collect();
     let label = names.join("+");
     println!(
@@ -150,15 +126,14 @@ fn cmd_trace(topts: &TraceOptions, opts: &Options) -> ExitCode {
         stats.committed, stats.cycles
     );
     print_stats(opts.features.label(), &stats);
-    if let Some(prof) = sim.host_profile() {
+    if let Some(prof) = &outcome.profile {
         print!("{}", prof.report(stats.ipc()));
     }
-    if let Some(text) = timeline {
+    if let (Some(cycles), Some(timeline)) = (topts.timeline, &probes.timeline) {
         println!();
-        print!("{text}");
+        print!("{}", timeline.render((cycles / 48).max(1) as usize));
     }
 
-    let probes = sim.take_probes().expect("probes were enabled");
     if let Some(ring) = &probes.ring {
         println!();
         println!("last {} events ({} dropped):", ring.len(), ring.dropped);
@@ -184,7 +159,7 @@ fn cmd_trace(topts: &TraceOptions, opts: &Options) -> ExitCode {
         .spans
         .as_ref()
         .expect("spans were enabled")
-        .chrome_trace_json(sim.config().contexts);
+        .chrome_trace_json(contexts);
     if let Err(e) = write_creating_dirs(&topts.out, &trace) {
         eprintln!("error: writing {}: {e}", topts.out);
         return ExitCode::FAILURE;
@@ -198,24 +173,19 @@ fn cmd_trace(topts: &TraceOptions, opts: &Options) -> ExitCode {
 }
 
 fn cmd_explain(eopts: &ExplainOptions, opts: &Options) -> ExitCode {
-    let programs = mix::programs(&opts.benches, opts.seed);
-    let mut sim = Simulator::new(configure(opts, opts.features), programs);
-    sim.enable_probes(ProbeConfig {
-        ring: None,
-        interval: None,
-        spans: false,
-        explain: true,
-        filter: multipath_core::EventFilter::all(),
-    });
-
-    let total = opts.commits * opts.benches.len() as u64;
-    sim.run(total, total.saturating_mul(100).max(1_000_000));
-    sim.finish_probes();
-
-    let stats = sim.stats().clone();
+    let outcome = RunSpec {
+        probes: Some(ProbeConfig {
+            interval: None,
+            explain: true,
+            ..ProbeConfig::default()
+        }),
+        ..opts.spec(opts.features)
+    }
+    .run();
+    let stats = outcome.stats;
     let names: Vec<&str> = opts.benches.iter().map(|b| b.name()).collect();
     let label = names.join("+");
-    let probes = sim.take_probes().expect("probes were enabled");
+    let probes = outcome.probes.expect("probes were enabled");
     let attr = probes.attribution.as_ref().expect("attribution sink on");
     let tree = probes.tree.as_ref().expect("path-tree sink on");
 
@@ -263,7 +233,7 @@ fn cmd_compare(opts: &Options) -> ExitCode {
     let names: Vec<&str> = opts.benches.iter().map(|b| b.name()).collect();
     println!("workload: {}", names.join("+"));
     for features in Features::all_six() {
-        let stats = simulate(opts, features);
+        let stats = opts.spec(features).run().stats;
         print_stats(features.label(), &stats);
     }
     ExitCode::SUCCESS
@@ -286,7 +256,6 @@ fn cmd_list() -> ExitCode {
 
 fn cmd_figures(requested: &[&str]) -> ExitCode {
     let budget = multipath_bench::Budget::from_env();
-    let csv = multipath_bench::csv_requested();
     eprintln!(
         "sweeping on {} worker thread(s); {} committed per program, {} mixes",
         multipath_bench::parallel::thread_count(),
@@ -300,57 +269,7 @@ fn cmd_figures(requested: &[&str]) -> ExitCode {
         if requested.len() > 1 {
             println!("== {fig} ==");
         }
-        match *fig {
-            "fig3" => {
-                let rows = multipath_bench::figure3(&budget);
-                if csv {
-                    print!("{}", multipath_bench::render_figure3_csv(&rows));
-                } else {
-                    print!("{}", multipath_bench::render_figure3(&rows));
-                }
-            }
-            "fig4" => {
-                let rows = multipath_bench::figure4(&budget);
-                if csv {
-                    print!("{}", multipath_bench::render_figure4_csv(&rows));
-                } else {
-                    print!("{}", multipath_bench::render_figure4(&rows));
-                }
-            }
-            "fig5" => {
-                let rows = multipath_bench::figure5(&budget);
-                if csv {
-                    print!("{}", multipath_bench::render_figure5_csv(&rows));
-                } else {
-                    print!("{}", multipath_bench::render_figure5(&rows));
-                }
-            }
-            "fig6" => {
-                let rows = multipath_bench::figure6(&budget);
-                if csv {
-                    print!("{}", multipath_bench::render_figure6_csv(&rows));
-                } else {
-                    print!("{}", multipath_bench::render_figure6(&rows));
-                }
-            }
-            "table1" => {
-                let rows = multipath_bench::table1(&budget);
-                if csv {
-                    print!("{}", multipath_bench::render_table1_csv(&rows));
-                } else {
-                    print!("{}", multipath_bench::render_table1(&rows));
-                }
-            }
-            "explain" => {
-                let rows = multipath_bench::explain_rows(&budget);
-                if csv {
-                    print!("{}", multipath_bench::render_explain_csv(&rows));
-                } else {
-                    print!("{}", multipath_bench::render_explain(&rows));
-                }
-            }
-            _ => unreachable!("validated by the parser"),
-        }
+        multipath_bench::figure_table(fig, &budget).print();
     }
     ExitCode::SUCCESS
 }

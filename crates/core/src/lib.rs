@@ -34,7 +34,7 @@
 //! # Examples
 //!
 //! ```
-//! use multipath_core::{Features, SimConfig, Simulator};
+//! use multipath_core::{Features, RunSpec, SimConfig};
 //! use multipath_workload::{kernels, Benchmark};
 //!
 //! // Compare plain SMT against the full recycle architecture on the
@@ -43,8 +43,7 @@
 //! for features in [Features::smt(), Features::rec_rs_ru()] {
 //!     let program = kernels::build(Benchmark::Compress, 42);
 //!     let config = SimConfig::big_2_16().with_features(features);
-//!     let mut sim = Simulator::new(config, vec![program]);
-//!     results.push(sim.run(3_000, 100_000).ipc());
+//!     results.push(RunSpec::new(config, vec![program], 3_000).run().stats.ipc());
 //! }
 //! assert!(results.iter().all(|&ipc| ipc > 0.0));
 //! ```
@@ -67,6 +66,7 @@ pub mod probe;
 pub mod regfile;
 pub mod rename_stage;
 pub mod reuse;
+pub mod run;
 pub mod sim;
 pub mod stats;
 pub mod tme;
@@ -85,5 +85,6 @@ pub use probe::{
     IntervalSink, NullSink, ProbeConfig, ProbeSink, Probes, RefuseReason, ReuseDeny, RingSink,
     SpanRecorder, StageProfile,
 };
+pub use run::{RunOutcome, RunSpec};
 pub use sim::{Group, ProgramInstance, Simulator};
 pub use stats::Stats;

@@ -394,7 +394,7 @@ impl EventFilter {
 }
 
 /// A per-cycle view of one hardware context, fed to sinks at cycle end.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CtxView {
     /// The context's role at the end of the cycle.
     pub role: CtxStateKind,
@@ -870,6 +870,9 @@ pub struct Probes {
     pub attribution: Option<crate::explain::AttributionSink>,
     /// Path-tree recorder (fork/merge/squash DAG), if configured.
     pub tree: Option<crate::explain::PathTreeSink>,
+    /// Timeline of the last N cycles, if the run asked for one
+    /// ([`RunSpec::timeline`](crate::RunSpec::timeline)).
+    pub timeline: Option<crate::trace::TimelineSink>,
     /// Scratch buffer for per-cycle context views (reused, no allocation
     /// in steady state).
     pub(crate) views: Vec<CtxView>,
@@ -886,6 +889,7 @@ impl Probes {
                 .explain
                 .then(crate::explain::AttributionSink::default),
             tree: config.explain.then(crate::explain::PathTreeSink::new),
+            timeline: None,
             views: Vec::new(),
         }
     }
@@ -932,6 +936,9 @@ impl ProbeSink for Probes {
         }
         if let Some(sp) = &mut self.spans {
             sp.cycle_end(cycle, stats, ctxs);
+        }
+        if let Some(tl) = &mut self.timeline {
+            tl.cycle_end(cycle, stats, ctxs);
         }
     }
 }

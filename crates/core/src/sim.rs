@@ -13,6 +13,7 @@ use crate::config::SimConfig;
 use crate::context::Context;
 use crate::ids::{CtxId, InstTag, PhysReg, ProgId};
 use crate::map::MapTable;
+use crate::probe::StageProfile;
 use crate::regfile::RegFiles;
 use crate::reuse::{Mdb, WrittenBits};
 use crate::stats::Stats;
@@ -22,6 +23,7 @@ use multipath_mem::{Asid, Memory, MemoryHierarchy};
 use multipath_workload::Program;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::time::{Duration, Instant};
 
 /// One running program: its image, address space, and progress.
 #[derive(Debug)]
@@ -96,6 +98,41 @@ impl PartialOrd for CompletionEvent {
     }
 }
 
+/// Host-time accounting for [`Simulator::tick`].
+trait Clock {
+    /// A cycle begins.
+    fn start(&mut self);
+    /// The stage whose profile field `slot` selects has just finished.
+    fn lap(&mut self, slot: fn(&mut StageProfile) -> &mut Duration);
+}
+
+/// The plain-run clock: records nothing.
+struct NoClock;
+
+impl Clock for NoClock {
+    fn start(&mut self) {}
+    fn lap(&mut self, _slot: fn(&mut StageProfile) -> &mut Duration) {}
+}
+
+/// The profiled-run clock: host wall time per stage.
+struct WallClock {
+    profile: StageProfile,
+    last: Instant,
+}
+
+impl Clock for WallClock {
+    fn start(&mut self) {
+        self.profile.steps += 1;
+        self.last = Instant::now();
+    }
+
+    fn lap(&mut self, slot: fn(&mut StageProfile) -> &mut Duration) {
+        let now = Instant::now();
+        *slot(&mut self.profile) += now - self.last;
+        self.last = now;
+    }
+}
+
 /// The execution-driven SMT/TME/Recycle simulator.
 ///
 /// # Examples
@@ -149,7 +186,7 @@ pub struct Simulator {
     /// path pays one branch per probe site and nothing else).
     pub(crate) probes: Option<Box<crate::probe::Probes>>,
     /// Host-side per-stage wall-clock profile, when enabled.
-    pub(crate) host_prof: Option<Box<crate::probe::StageProfile>>,
+    pub(crate) host_prof: Option<StageProfile>,
 }
 
 impl Simulator {
@@ -294,12 +331,7 @@ impl Simulator {
 
     /// Enables host-side per-stage wall-clock profiling.
     pub fn enable_host_profile(&mut self) {
-        self.host_prof = Some(Box::default());
-    }
-
-    /// The attached probes, if any.
-    pub fn probes(&self) -> Option<&crate::probe::Probes> {
-        self.probes.as_deref()
+        self.host_prof = Some(StageProfile::default());
     }
 
     /// Detaches and returns the probes (export after a run).
@@ -308,13 +340,13 @@ impl Simulator {
     }
 
     /// The accumulated host stage profile, if enabled.
-    pub fn host_profile(&self) -> Option<&crate::probe::StageProfile> {
-        self.host_prof.as_deref()
+    pub fn host_profile(&self) -> Option<&StageProfile> {
+        self.host_prof.as_ref()
     }
 
     /// Finalizes statistics and closes the probe sinks (trailing partial
-    /// interval, open Perfetto spans). Call once after the last `step`/
-    /// `run` and before exporting; idempotent.
+    /// interval, open Perfetto spans). Call once after the last `run` and
+    /// before exporting; idempotent.
     pub fn finish_probes(&mut self) {
         self.finalize_stats();
         if let Some(mut probes) = self.probes.take() {
@@ -323,18 +355,23 @@ impl Simulator {
         }
     }
 
-    /// Advances the machine one cycle.
-    pub fn step(&mut self) {
-        if self.host_prof.is_some() {
-            self.step_profiled();
-            return;
-        }
+    /// Advances the machine one cycle: the stages back to front, so each
+    /// consumes what the one before it produced in the previous cycle,
+    /// then the cycle count and the probe sinks. `clock` attributes host
+    /// time to each stage; with [`NoClock`] only the stage calls remain.
+    fn tick<C: Clock>(&mut self, clock: &mut C) {
+        clock.start();
         self.forks_this_cycle = 0;
         self.commit_stage();
+        clock.lap(|p| &mut p.commit);
         self.writeback_stage();
+        clock.lap(|p| &mut p.writeback);
         self.issue_stage();
+        clock.lap(|p| &mut p.issue);
         self.rename_stage();
+        clock.lap(|p| &mut p.rename);
         self.fetch_stage();
+        clock.lap(|p| &mut p.fetch);
         self.cycle += 1;
         self.stats.cycles = self.cycle;
         #[cfg(debug_assertions)]
@@ -344,42 +381,7 @@ impl Simulator {
         if self.probes.is_some() {
             self.probe_cycle_end();
         }
-    }
-
-    /// `step` with host wall-clock accumulation per stage. A separate
-    /// body so the unprofiled loop stays branch-free between stages.
-    fn step_profiled(&mut self) {
-        use std::time::Instant;
-        let mut prof = self.host_prof.take().expect("caller checked");
-        self.forks_this_cycle = 0;
-        let mut t = Instant::now();
-        let mut lap = |acc: &mut std::time::Duration| {
-            let now = Instant::now();
-            *acc += now - t;
-            t = now;
-        };
-        self.commit_stage();
-        lap(&mut prof.commit);
-        self.writeback_stage();
-        lap(&mut prof.writeback);
-        self.issue_stage();
-        lap(&mut prof.issue);
-        self.rename_stage();
-        lap(&mut prof.rename);
-        self.fetch_stage();
-        lap(&mut prof.fetch);
-        self.cycle += 1;
-        self.stats.cycles = self.cycle;
-        #[cfg(debug_assertions)]
-        if self.cycle.is_multiple_of(4096) {
-            self.regs.check_conservation();
-        }
-        if self.probes.is_some() {
-            self.probe_cycle_end();
-        }
-        lap(&mut prof.probes);
-        prof.steps += 1;
-        self.host_prof = Some(prof);
+        clock.lap(|p| &mut p.probes);
     }
 
     /// Feeds end-of-cycle state (cumulative stats + per-context views) to
@@ -429,27 +431,29 @@ impl Simulator {
         self.probes.is_some()
     }
 
-    /// Attaches a cooperative [`CancelToken`](crate::CancelToken):
-    /// [`Simulator::run`] polls it between cycles and returns early once
-    /// it fires (explicitly, or by its deadline). Statistics are
-    /// finalized either way; [`Simulator::cancelled`] reports which
-    /// happened.
-    pub fn set_cancel(&mut self, token: crate::cancel::CancelToken) {
-        self.cancel = Some(token);
-    }
-
-    /// Whether the attached cancel token (if any) has fired.
-    pub fn cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(crate::cancel::CancelToken::is_cancelled)
-    }
-
     /// Runs until `total_committed` instructions have committed across all
     /// programs, every program has halted, `max_cycles` elapse, or the
-    /// attached cancel token (see [`Simulator::set_cancel`]) fires.
+    /// cancel token ([`RunSpec::cancel`](crate::RunSpec::cancel)) fires.
     /// Returns the accumulated statistics.
     pub fn run(&mut self, total_committed: u64, max_cycles: u64) -> &Stats {
+        match self.host_prof.take() {
+            Some(profile) => {
+                let mut clock = WallClock {
+                    profile,
+                    last: Instant::now(),
+                };
+                self.run_on(&mut clock, total_committed, max_cycles);
+                self.host_prof = Some(clock.profile);
+            }
+            None => self.run_on(&mut NoClock, total_committed, max_cycles),
+        }
+        self.finalize_stats();
+        &self.stats
+    }
+
+    /// The cycle loop of [`Simulator::run`], monomorphized per clock so
+    /// the profiling decision is made once per run, not once per cycle.
+    fn run_on<C: Clock>(&mut self, clock: &mut C, total_committed: u64, max_cycles: u64) {
         while self.stats.committed < total_committed
             && self.cycle < max_cycles
             && !self.programs.iter().all(|p| p.finished)
@@ -459,10 +463,8 @@ impl Simulator {
                     break;
                 }
             }
-            self.step();
+            self.tick(clock);
         }
-        self.finalize_stats();
-        &self.stats
     }
 
     /// Flushes per-path statistics still held by live contexts into the
@@ -509,23 +511,6 @@ impl Simulator {
     /// Memory-hierarchy statistics.
     pub fn hierarchy_stats(&self) -> multipath_mem::HierarchyStats {
         self.hierarchy.stats()
-    }
-
-    /// Per-context `(state, live entries, stream remaining)` views, in
-    /// context order — the raw feed for [`crate::trace`].
-    pub fn context_views(
-        &self,
-    ) -> impl Iterator<Item = (crate::context::CtxState, usize, u64)> + '_ {
-        self.contexts.iter().map(|c| {
-            (
-                c.state,
-                c.al.live(),
-                c.recycle_stream
-                    .as_ref()
-                    .map(|s| s.remaining())
-                    .unwrap_or(0),
-            )
-        })
     }
 
     /// One-line-per-context debug summary (diagnostics).

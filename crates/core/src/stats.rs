@@ -69,7 +69,7 @@ pub struct Stats {
 }
 
 /// Generates the fixed counter vector: `NUM_COUNTERS`, `COUNTER_NAMES`,
-/// and `counters()` stay in lockstep with the field list by construction,
+/// `counters()` and `add_counters()` stay in lockstep with the field list by construction,
 /// so the stats.json schema and the interval time series can never drift
 /// from the struct.
 macro_rules! counter_vector {
@@ -86,6 +86,12 @@ macro_rules! counter_vector {
             /// the interval time series and the stats-drift gate.
             pub fn counters(&self) -> [u64; Stats::NUM_COUNTERS] {
                 [$(self.$field),*]
+            }
+
+            /// Adds every scalar counter of `other` into `self` (sums
+            /// across runs; the per-program vector is left alone).
+            pub fn add_counters(&mut self, other: &Stats) {
+                $(self.$field += other.$field;)*
             }
         }
     };

@@ -1,10 +1,12 @@
 //! Pipeline tracing: compact per-cycle occupancy timelines.
 //!
 //! A [`CycleSample`] records, for one cycle, what each hardware context is
-//! doing and how much work moved through the major stages; `sample_window`
-//! steps the simulator and collects samples, and [`render_timeline`] turns
-//! them into a text chart — the quickest way to *see* forking, draining,
-//! recycling streams, and starvation:
+//! doing and how much work moved through the major stages. A
+//! [`TimelineSink`] is a probe sink that keeps the samples of the last N
+//! cycles of a run (attach it with
+//! [`RunSpec::timeline`](crate::RunSpec::timeline)), and
+//! [`TimelineSink::render`] turns them into a text chart — the quickest
+//! way to *see* forking, draining, recycling streams, and starvation:
 //!
 //! ```text
 //! cycle    ctx: 0        1        2        ...   fet ren com
@@ -16,18 +18,9 @@
 //! marks an active recycle stream with `N` instructions remaining.
 
 use crate::context::CtxState;
-use crate::sim::Simulator;
-
-/// What one context was doing in one cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CtxSample {
-    /// Role at the end of the cycle.
-    pub state: CtxStateKind,
-    /// Live (uncommitted) active-list entries.
-    pub live: usize,
-    /// Instructions remaining in an attached recycle stream.
-    pub stream: u64,
-}
+use crate::probe::{CtxView, ProbeSink};
+use crate::stats::Stats;
+use std::collections::VecDeque;
 
 /// A compact mirror of [`CtxState`] for display.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,14 +69,7 @@ impl CtxStateKind {
 
     /// Dense index into role-occupancy histograms.
     pub fn index(self) -> usize {
-        match self {
-            CtxStateKind::Idle => 0,
-            CtxStateKind::Primary => 1,
-            CtxStateKind::Alternate => 2,
-            CtxStateKind::AlternateResolved => 3,
-            CtxStateKind::Draining => 4,
-            CtxStateKind::Inactive => 5,
-        }
+        self as usize
     }
 
     /// Human-readable role name (stats.json / Perfetto track labels).
@@ -116,8 +102,8 @@ impl CtxStateKind {
 pub struct CycleSample {
     /// The cycle this sample describes.
     pub cycle: u64,
-    /// Per-context activity.
-    pub contexts: Vec<CtxSample>,
+    /// Per-context activity at the end of the cycle.
+    pub contexts: Vec<CtxView>,
     /// Instructions fetched this cycle.
     pub fetched: u64,
     /// Instructions renamed this cycle (including recycled).
@@ -128,97 +114,181 @@ pub struct CycleSample {
     pub committed: u64,
 }
 
-/// Steps the simulator `cycles` times, returning one sample per cycle.
-pub fn sample_window(sim: &mut Simulator, cycles: u64) -> Vec<CycleSample> {
-    let mut out = Vec::with_capacity(cycles as usize);
-    for _ in 0..cycles {
-        let before = sim.stats().clone();
-        sim.step();
-        let after = sim.stats();
-        let contexts = sim
-            .context_views()
-            .map(|(state, live, stream)| CtxSample {
-                state: CtxStateKind::of(state),
-                live,
-                stream,
-            })
-            .collect();
-        out.push(CycleSample {
-            cycle: sim.cycle(),
-            contexts,
-            fetched: after.fetched - before.fetched,
-            renamed: after.renamed - before.renamed,
-            recycled: after.recycled - before.recycled,
-            committed: after.committed - before.committed,
-        });
-    }
-    out
+/// A probe sink keeping one [`CycleSample`] for each of the last N
+/// cycles. Observes only, like every sink: a run's statistics are the
+/// same with or without it.
+#[derive(Debug)]
+pub struct TimelineSink {
+    cap: usize,
+    samples: VecDeque<CycleSample>,
+    /// Cumulative `[fetched, renamed, recycled, committed]` at the end of
+    /// the previous cycle.
+    last: [u64; 4],
 }
 
-/// Renders samples as a text timeline (one row per `stride` cycles).
-pub fn render_timeline(samples: &[CycleSample], stride: usize) -> String {
-    let mut out = String::new();
-    let Some(first) = samples.first() else {
-        return out;
-    };
-    out.push_str(&format!("{:>8}  ", "cycle"));
-    for i in 0..first.contexts.len() {
-        out.push_str(&format!("{:<9}", format!("ctx{i}")));
-    }
-    out.push_str(" fet ren rec com\n");
-    for sample in samples.iter().step_by(stride.max(1)) {
-        out.push_str(&format!("{:>8}  ", sample.cycle));
-        for c in &sample.contexts {
-            let cell = if c.stream > 0 {
-                format!("{} {}+s{}", c.state.glyph(), c.live, c.stream)
-            } else {
-                format!("{} {}", c.state.glyph(), c.live)
-            };
-            out.push_str(&format!("{cell:<9}"));
+impl TimelineSink {
+    /// A sink keeping the last `cycles` cycles.
+    pub fn new(cycles: u64) -> TimelineSink {
+        TimelineSink {
+            cap: usize::try_from(cycles).unwrap_or(usize::MAX),
+            samples: VecDeque::new(),
+            last: [0; 4],
         }
-        out.push_str(&format!(
-            "{:>4}{:>4}{:>4}{:>4}\n",
-            sample.fetched, sample.renamed, sample.recycled, sample.committed
-        ));
     }
-    out
+
+    /// Renders the samples as a text timeline (one row per `stride`
+    /// cycles, starting with the oldest).
+    pub fn render(&self, stride: usize) -> String {
+        let mut out = String::new();
+        let Some(first) = self.samples.front() else {
+            return out;
+        };
+        out.push_str(&format!("{:>8}  ", "cycle"));
+        for i in 0..first.contexts.len() {
+            out.push_str(&format!("{:<9}", format!("ctx{i}")));
+        }
+        out.push_str(" fet ren rec com\n");
+        for sample in self.samples.iter().step_by(stride.max(1)) {
+            out.push_str(&format!("{:>8}  ", sample.cycle));
+            for c in &sample.contexts {
+                let cell = if c.stream > 0 {
+                    format!("{} {}+s{}", c.role.glyph(), c.live, c.stream)
+                } else {
+                    format!("{} {}", c.role.glyph(), c.live)
+                };
+                out.push_str(&format!("{cell:<9}"));
+            }
+            out.push_str(&format!(
+                "{:>4}{:>4}{:>4}{:>4}\n",
+                sample.fetched, sample.renamed, sample.recycled, sample.committed
+            ));
+        }
+        out
+    }
+}
+
+impl ProbeSink for TimelineSink {
+    fn cycle_end(&mut self, cycle: u64, stats: &Stats, ctxs: &[CtxView]) {
+        let now = [
+            stats.fetched,
+            stats.renamed,
+            stats.recycled,
+            stats.committed,
+        ];
+        let [fetched, renamed, recycled, committed] =
+            std::array::from_fn(|i| now[i] - self.last[i]);
+        self.last = now;
+        if self.cap == 0 {
+            return;
+        }
+        // Once full, the oldest sample's buffer is reused: no allocation
+        // per cycle in steady state.
+        let oldest = (self.samples.len() == self.cap).then(|| self.samples.pop_front());
+        let mut contexts = oldest.flatten().map_or_else(Vec::new, |s| s.contexts);
+        contexts.clear();
+        contexts.extend_from_slice(ctxs);
+        self.samples.push_back(CycleSample {
+            cycle,
+            contexts,
+            fetched,
+            renamed,
+            recycled,
+            committed,
+        });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{Features, SimConfig};
+    use crate::RunSpec;
     use multipath_workload::{kernels, Benchmark};
+
+    fn timeline_run(timeline: Option<u64>) -> crate::RunOutcome {
+        RunSpec {
+            timeline,
+            ..RunSpec::new(
+                SimConfig::big_2_16().with_features(Features::rec_rs_ru()),
+                vec![kernels::build(Benchmark::Compress, 1)],
+                2_000,
+            )
+        }
+        .run()
+    }
+
+    fn deltas(s: &CycleSample) -> [u64; 5] {
+        [s.cycle, s.fetched, s.renamed, s.recycled, s.committed]
+    }
 
     #[test]
     fn sampling_tracks_work() {
-        let config = SimConfig::big_2_16().with_features(Features::rec_rs_ru());
-        let mut sim = Simulator::new(config, vec![kernels::build(Benchmark::Compress, 1)]);
-        // Warm up, then sample.
-        sim.run(2_000, 100_000);
-        let start_committed = sim.stats().committed;
-        let samples = sample_window(&mut sim, 200);
+        let plain = timeline_run(None);
+        let full = timeline_run(Some(u64::MAX));
+        let traced = timeline_run(Some(200));
+        for outcome in [&full, &traced] {
+            assert_eq!(
+                outcome.stats.counters(),
+                plain.stats.counters(),
+                "the timeline must observe without perturbing"
+            );
+        }
+
+        // A window longer than the run sees every cycle, so the per-cycle
+        // deltas add up exactly to the final counters.
+        let all = full.probes.unwrap().timeline.unwrap().samples;
+        assert_eq!(all.len() as u64, plain.stats.cycles);
+        assert!(all.iter().zip(1..).all(|(s, c)| s.cycle == c));
+        let sum = |f: fn(&CycleSample) -> u64| all.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|s| s.fetched), plain.stats.fetched);
+        assert_eq!(sum(|s| s.renamed), plain.stats.renamed);
+        assert_eq!(sum(|s| s.recycled), plain.stats.recycled);
+        assert_eq!(sum(|s| s.committed), plain.stats.committed);
+
+        // The 200-cycle window is exactly the tail of the full timeline.
+        let samples = traced.probes.unwrap().timeline.unwrap().samples;
         assert_eq!(samples.len(), 200);
-        let total: u64 = samples.iter().map(|s| s.committed).sum();
-        assert_eq!(total, sim.stats().committed - start_committed);
+        assert_eq!(
+            samples.iter().map(deltas).collect::<Vec<_>>(),
+            all.iter()
+                .skip(all.len() - 200)
+                .map(deltas)
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(
+            samples[199].cycle, plain.stats.cycles,
+            "ends at the last cycle"
+        );
+        let committed: u64 = samples.iter().map(|s| s.committed).sum();
+        assert!(committed > 0 && committed <= plain.stats.committed);
         assert!(samples.iter().any(|s| s.fetched > 0));
         assert!(
             samples
                 .iter()
-                .any(|s| s.contexts.iter().any(|c| c.state != CtxStateKind::Idle)),
+                .any(|s| s.contexts.iter().any(|c| c.role != CtxStateKind::Idle)),
             "something must be running"
+        );
+        assert!(
+            (samples.iter().zip(all.iter().skip(all.len() - 200)))
+                .all(|(a, b)| a.contexts == b.contexts),
+            "reused buffers hold the right cycle's contexts"
         );
     }
 
     #[test]
     fn timeline_renders() {
-        let config = SimConfig::big_2_16().with_features(Features::rec_rs_ru());
-        let mut sim = Simulator::new(config, vec![kernels::build(Benchmark::Go, 1)]);
-        sim.run(1_000, 100_000);
-        let samples = sample_window(&mut sim, 64);
-        let text = render_timeline(&samples, 8);
+        let outcome = RunSpec {
+            timeline: Some(64),
+            ..RunSpec::new(
+                SimConfig::big_2_16().with_features(Features::rec_rs_ru()),
+                vec![kernels::build(Benchmark::Go, 1)],
+                1_000,
+            )
+        }
+        .run();
+        let text = outcome.probes.unwrap().timeline.unwrap().render(8);
         assert!(text.contains("ctx0"));
-        assert!(text.lines().count() >= 8);
+        assert_eq!(text.lines().count(), 1 + 64 / 8);
     }
 
     #[test]

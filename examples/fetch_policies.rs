@@ -11,7 +11,7 @@
 //! cargo run --release --example fetch_policies -p multipath-core
 //! ```
 
-use multipath_core::{AltPolicy, Features, SimConfig, Simulator};
+use multipath_core::{AltPolicy, Features, RunSpec, SimConfig};
 use multipath_workload::{kernels, Benchmark};
 
 fn main() {
@@ -24,8 +24,9 @@ fn main() {
         let config = SimConfig::big_2_16()
             .with_features(Features::rec_rs_ru())
             .with_alt_policy(policy);
-        let mut sim = Simulator::new(config, vec![kernels::build(bench, 7)]);
-        let stats = sim.run(30_000, 1_000_000);
+        let stats = RunSpec::new(config, vec![kernels::build(bench, 7)], 30_000)
+            .run()
+            .stats;
         println!(
             "{:12} {:>8.2} {:>10.1} {:>10.1} {:>8}",
             policy.label(),

@@ -8,7 +8,7 @@
 //! cargo run --release --example multiprogram -p multipath-core
 //! ```
 
-use multipath_core::{Features, SimConfig, Simulator};
+use multipath_core::{Features, RunSpec, SimConfig};
 use multipath_workload::mix;
 
 fn main() {
@@ -29,8 +29,7 @@ fn main() {
             for workload in mixes {
                 let programs = mix::programs(&workload, 1);
                 let config = SimConfig::big_2_16().with_features(features);
-                let mut sim = Simulator::new(config, programs);
-                let stats = sim.run(15_000 * n as u64, 2_000_000);
+                let stats = RunSpec::new(config, programs, 15_000).run().stats;
                 ipc[i] += stats.ipc() / count as f64;
             }
         }

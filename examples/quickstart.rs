@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart -p multipath-core
 //! ```
 
-use multipath_core::{Features, SimConfig, Simulator};
+use multipath_core::{Features, RunSpec, SimConfig};
 use multipath_workload::{kernels, Benchmark};
 
 fn main() {
@@ -17,8 +17,7 @@ fn main() {
     // dictionary loop full of short, data-dependent hammocks.
     let program = kernels::build(Benchmark::Compress, 42);
 
-    let mut sim = Simulator::new(config, vec![program]);
-    let stats = sim.run(50_000, 1_000_000);
+    let stats = RunSpec::new(config, vec![program], 50_000).run().stats;
 
     println!(
         "simulated {} cycles, committed {} instructions",

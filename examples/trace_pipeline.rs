@@ -7,17 +7,20 @@
 //! cargo run --release --example trace_pipeline -p multipath-core
 //! ```
 
-use multipath_core::trace::{render_timeline, sample_window};
-use multipath_core::{Features, SimConfig, Simulator};
+use multipath_core::{Features, RunSpec, SimConfig};
 use multipath_workload::{kernels, Benchmark};
 
 fn main() {
     let config = SimConfig::big_2_16().with_features(Features::rec_rs_ru());
-    let mut sim = Simulator::new(config, vec![kernels::build(Benchmark::Go, 7)]);
-    // Warm the predictors and caches, then watch 400 cycles.
-    sim.run(5_000, 500_000);
-    let samples = sample_window(&mut sim, 400);
-    print!("{}", render_timeline(&samples, 10));
+    // Run far enough to warm the predictors and caches, and keep the
+    // last 400 cycles of the run.
+    let outcome = RunSpec {
+        timeline: Some(400),
+        ..RunSpec::new(config, vec![kernels::build(Benchmark::Go, 7)], 5_000)
+    }
+    .run();
+    let timeline = outcome.probes.and_then(|p| p.timeline);
+    print!("{}", timeline.expect("timeline requested").render(10));
     println!(
         "\nlegend: P primary, A alternate, a resolved alternate, D draining, \
          I inactive trace, . idle; 'n+sM' = n live entries, stream of M remaining"

@@ -24,6 +24,12 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// Reads a file, naming it if that fails (a file `git ls-files` lists
+/// may be deleted in the worktree).
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
+}
+
 /// Every *.md tracked by git, relative to the repo root.
 fn checked_in_markdown() -> Vec<PathBuf> {
     let root = repo_root();
@@ -143,13 +149,13 @@ fn relative_links_and_anchors_resolve() {
     // be checked in one pass.
     let mut slugs: BTreeMap<PathBuf, Vec<String>> = BTreeMap::new();
     for file in &files {
-        let text = std::fs::read_to_string(root.join(file)).unwrap();
+        let text = read(&root.join(file));
         let (prose, _) = split_fences(&text);
         slugs.insert(file.clone(), heading_slugs(&prose));
     }
     let mut broken = Vec::new();
     for file in &files {
-        let text = std::fs::read_to_string(root.join(file)).unwrap();
+        let text = read(&root.join(file));
         let (prose, _) = split_fences(&text);
         for line in &prose {
             for target in link_targets(line) {
@@ -206,7 +212,7 @@ fn documented_cli_invocations_parse() {
     let root = repo_root();
     let mut checked = 0usize;
     for file in checked_in_markdown() {
-        let text = std::fs::read_to_string(root.join(&file)).unwrap();
+        let text = read(&root.join(&file));
         let (_, fences) = split_fences(&text);
         for fence in fences {
             if fence.info != "console" && fence.info != "text" {
@@ -257,7 +263,7 @@ fn json_excerpts_are_valid_and_carry_known_schemas() {
     let mut excerpts = 0usize;
     let mut validated_files = Vec::new();
     for file in checked_in_markdown() {
-        let text = std::fs::read_to_string(root.join(&file)).unwrap();
+        let text = read(&root.join(&file));
         let (_, fences) = split_fences(&text);
         let mut any = false;
         for fence in fences {
@@ -294,7 +300,7 @@ fn json_excerpts_are_valid_and_carry_known_schemas() {
 
 #[test]
 fn changelog_entries_are_in_order() {
-    let text = std::fs::read_to_string(repo_root().join("CHANGES.md")).unwrap();
+    let text = read(&repo_root().join("CHANGES.md"));
     let mut prs = Vec::new();
     for line in text.lines() {
         let Some(rest) = line.strip_prefix("- PR ") else {
