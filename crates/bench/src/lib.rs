@@ -2,9 +2,9 @@
 //!
 //! Every table and figure of the paper's evaluation has a runner here and a
 //! binary that prints it (`cargo run --release -p multipath-bench --bin
-//! fig3`, `fig4`, `fig5`, `fig6`, `table1`). The bench target
-//! (`cargo bench -p multipath-bench`) times representative simulations of
-//! each experiment so regressions in simulator throughput are visible.
+//! fig3`, `fig4`, `fig5`, `fig6`, `table1`). Simulator throughput is
+//! measured by the repository benchmark, `perfbench/` (see
+//! `BENCHMARK.json`), whose `fig-sweep` workload runs [`figure3_cells`].
 //!
 //! Sweeps run on the [`parallel`] engine: each figure builds its full
 //! cell list, shards it across `MULTIPATH_THREADS` workers (default: all
@@ -18,7 +18,7 @@
 //! which configuration wins, how gains move with program count, and where
 //! the recycling statistics land.
 
-use multipath_core::{AltPolicy, EventFilter, Features, ProbeConfig, RunSpec, SimConfig, Stats};
+use multipath_core::{AltPolicy, Features, ProbeConfig, RunSpec, SimConfig, Stats};
 use multipath_workload::{mix, Benchmark};
 
 pub mod parallel;
@@ -119,26 +119,6 @@ pub fn run_cell(cell: &Cell, budget: &Budget) -> Stats {
     cell.spec(budget).run().stats
 }
 
-/// Runs one cell with the full observability stack enabled — interval
-/// time series, span recorder, and a bounded event ring — for the
-/// probe-overhead A/B in the `hotpath` harness. Probes observe without
-/// perturbing, so the returned statistics are bit-identical to
-/// [`run_cell`]'s (the harness asserts this).
-pub fn run_cell_probed(cell: &Cell, budget: &Budget) -> Stats {
-    RunSpec {
-        probes: Some(ProbeConfig {
-            ring: Some(1024),
-            interval: Some(100),
-            spans: true,
-            explain: true,
-            filter: EventFilter::all(),
-        }),
-        ..cell.spec(budget)
-    }
-    .run()
-    .stats
-}
-
 /// The cell for `bench` running alone under `features` on the baseline
 /// machine.
 fn single_cell(bench: Benchmark, features: Features, budget: &Budget) -> Cell {
@@ -210,8 +190,8 @@ pub struct Fig3Row {
 }
 
 /// The full Figure 3 cell list (8 benchmarks × 6 configurations), in the
-/// order `figure3` aggregates them. Exposed so the `hotpath` throughput
-/// harness times exactly the sweep the figure runs.
+/// order `figure3` aggregates them. Exposed so the repository benchmark
+/// times exactly the sweep the figure runs.
 pub fn figure3_cells(budget: &Budget) -> Vec<Cell> {
     Benchmark::ALL
         .into_iter()

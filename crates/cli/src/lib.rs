@@ -7,16 +7,18 @@
 //! documented commands cannot rot silently.
 //!
 //! Parsers are pure: they touch no files, print nothing, and report
-//! problems as `Err(String)`. Name → value resolution for features,
-//! machines, and policies is delegated to `multipath-core`
-//! ([`Features::from_name`], [`SimConfig::from_machine_name`],
-//! [`AltPolicy::from_label`]) so the CLI, the serving API, and the docs
-//! all share one vocabulary.
+//! problems as `Err(String)`. A simulating subcommand's workload flags
+//! (`--features`, `--machine`, `--policy`, `--commits`, `--seed`, and
+//! `trace`'s `--interval`) and benchmark names are only syntax: each goes
+//! straight to [`RunRequest::set`] or [`RunRequest::add_bench`], the one
+//! definition of a run's fields, defaults, checks and error messages,
+//! which `multipath serve` parses request bodies into as well.
 
 pub use multipath_bench::FIGURES;
-use multipath_core::{AltPolicy, EventFilter, Features, RunSpec, SimConfig};
-use multipath_serve::ServeConfig;
-use multipath_workload::{mix, Benchmark};
+use multipath_core::EventFilter;
+use multipath_serve::request::{self, Value};
+use multipath_serve::{ExplainRequest, RunRequest, ServeConfig};
+use multipath_workload::Benchmark;
 
 /// The usage text printed on any parse error.
 pub const USAGE: &str = "usage:\n  multipath run [OPTIONS] <BENCH>...\n  \
@@ -39,44 +41,9 @@ pub const USAGE: &str = "usage:\n  multipath run [OPTIONS] <BENCH>...\n  \
     MULTIPATH_THREADS=N   sweep worker count (default: all cores)\n  \
     MULTIPATH_BUDGET=quick   smoke-sized sweep\n  MP_FORMAT=csv   CSV output\n";
 
-/// Workload options shared by `run`, `trace`, `explain`, and `compare`.
-#[derive(Debug, Clone)]
-pub struct Options {
-    /// Feature set (default `rec-rs-ru`).
-    pub features: Features,
-    /// Machine geometry (default `big.2.16`).
-    pub machine: SimConfig,
-    /// Alternate-path fetch policy override, if given.
-    pub policy: Option<AltPolicy>,
-    /// Committed instructions per program (default 30000).
-    pub commits: u64,
-    /// Workload seed (default 1).
-    pub seed: u64,
-    /// The kernels to co-schedule (at least one).
-    pub benches: Vec<Benchmark>,
-}
-
-impl Options {
-    /// The run these options describe under `features` (the same budget
-    /// and cycle cap `multipath serve` applies to a request).
-    pub fn spec(&self, features: Features) -> RunSpec {
-        let mut config = self.machine.clone().with_features(features);
-        if let Some(p) = self.policy {
-            config = config.with_alt_policy(p);
-        }
-        RunSpec::new(
-            config,
-            mix::programs(&self.benches, self.seed),
-            self.commits,
-        )
-    }
-}
-
 /// `multipath trace`-specific options.
 #[derive(Debug, Clone)]
 pub struct TraceOptions {
-    /// Time-series interval width in cycles (default 100).
-    pub interval: u64,
     /// Event filter (default: all events).
     pub filter: EventFilter,
     /// Perfetto/Chrome-trace output path.
@@ -106,28 +73,21 @@ pub struct ExplainOptions {
     pub tree: bool,
 }
 
-/// `multipath serve` options, resolved into a ready [`ServeConfig`].
-#[derive(Debug, Clone)]
-pub struct ServeOptions {
-    /// The server configuration to bind with.
-    pub config: ServeConfig,
-}
-
 /// One fully parsed `multipath` command line.
 #[derive(Debug, Clone)]
 pub enum Invocation {
     /// `multipath run` — simulate one workload, print the summary line.
-    Run(Options),
+    Run(RunRequest),
     /// `multipath trace` — run with probes, write trace + stats files.
-    Trace(TraceOptions, Options),
+    Trace(TraceOptions, RunRequest),
     /// `multipath explain` — attribution report + path tree.
-    Explain(ExplainOptions, Options),
+    Explain(ExplainOptions, RunRequest),
     /// `multipath compare` — all six feature configurations side by side.
-    Compare(Options),
+    Compare(RunRequest),
     /// `multipath figures` — regenerate the named paper figures.
     Figures(Vec<&'static str>),
     /// `multipath serve` — run the persistent simulation service.
-    Serve(ServeOptions),
+    Serve(ServeConfig),
     /// `multipath list` — list benchmarks, machines, policies.
     List,
     /// `multipath disasm` — disassemble one kernel.
@@ -140,16 +100,21 @@ pub fn parse_invocation(args: &[String]) -> Result<Invocation, String> {
         .split_first()
         .ok_or_else(|| "missing command".to_owned())?;
     match cmd.as_str() {
-        "run" => Ok(Invocation::Run(parse_options(rest)?)),
+        "run" => Ok(Invocation::Run(parse_request(RunRequest::default(), rest)?)),
         "trace" => {
-            let (topts, rest) = parse_trace_options(rest)?;
-            Ok(Invocation::Trace(topts, parse_options(&rest)?))
+            let mut req = RunRequest::default();
+            let (topts, rest) = parse_trace_options(rest, &mut req)?;
+            Ok(Invocation::Trace(topts, parse_request(req, &rest)?))
         }
         "explain" => {
             let (eopts, rest) = parse_explain_options(rest)?;
-            Ok(Invocation::Explain(eopts, parse_options(&rest)?))
+            let req = parse_request(RunRequest::default(), &rest)?;
+            Ok(Invocation::Explain(eopts, req))
         }
-        "compare" => Ok(Invocation::Compare(parse_options(rest)?)),
+        "compare" => Ok(Invocation::Compare(parse_request(
+            RunRequest::default(),
+            rest,
+        )?)),
         "figures" => Ok(Invocation::Figures(parse_figures(rest)?)),
         "serve" => Ok(Invocation::Serve(parse_serve_options(rest)?)),
         "list" => {
@@ -163,78 +128,37 @@ pub fn parse_invocation(args: &[String]) -> Result<Invocation, String> {
             if rest.len() > 1 {
                 return Err(format!("disasm takes one benchmark, got {}", rest.len()));
             }
-            let bench = Benchmark::from_name(name)
-                .ok_or_else(|| format!("unknown benchmark '{name}' (see `multipath list`)"))?;
-            Ok(Invocation::Disasm(bench))
+            Ok(Invocation::Disasm(request::bench(name)?))
         }
         other => Err(format!("unknown command '{other}'")),
     }
 }
 
-/// Parses the shared workload options (everything after the subcommand
-/// for `run`/`compare`; the remainder for `trace`/`explain`).
-pub fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        features: Features::rec_rs_ru(),
-        machine: SimConfig::big_2_16(),
-        policy: None,
-        commits: 30_000,
-        seed: 1,
-        benches: Vec::new(),
-    };
+/// Parses the workload flags and benchmark names in `args` into `req`
+/// (everything after the subcommand for `run`/`compare`; the remainder
+/// for `trace`/`explain`) and applies the request's checks.
+pub fn parse_request(mut req: RunRequest, args: &[String]) -> Result<RunRequest, String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--features" => {
-                let v = flag_value(&mut it, "--features")?;
-                opts.features =
-                    Features::from_name(v).ok_or_else(|| format!("unknown features '{v}'"))?;
+        match arg.strip_prefix("--") {
+            Some(field) if RunRequest::COMMON_FIELDS.contains(&field) => {
+                req.set(field, Value::Text(flag_value(&mut it, arg)?))?
             }
-            "--machine" => {
-                let v = flag_value(&mut it, "--machine")?;
-                opts.machine = SimConfig::from_machine_name(v)
-                    .ok_or_else(|| format!("unknown machine '{v}'"))?;
-            }
-            "--policy" => {
-                let v = flag_value(&mut it, "--policy")?;
-                opts.policy =
-                    Some(AltPolicy::from_label(v).ok_or_else(|| format!("unknown policy '{v}'"))?);
-            }
-            "--commits" => {
-                opts.commits = parse_number(flag_value(&mut it, "--commits")?)?;
-                if opts.commits == 0 {
-                    return Err("\"commits\" must be positive".to_owned());
-                }
-            }
-            "--seed" => opts.seed = parse_number(flag_value(&mut it, "--seed")?)?,
-            name => match Benchmark::from_name(name) {
-                Some(b) => opts.benches.push(b),
-                None => {
-                    return Err(format!(
-                        "unknown benchmark or option '{name}' (see `multipath list`)"
-                    ))
-                }
-            },
+            Some(_) => return Err(format!("unknown option '{arg}'")),
+            None => req.add_bench(arg)?,
         }
     }
-    if opts.benches.is_empty() {
-        return Err("no benchmarks given (see `multipath list`)".to_owned());
-    }
-    if opts.benches.len() > opts.machine.contexts {
-        return Err(format!(
-            "{} programs exceed the machine's {} hardware contexts",
-            opts.benches.len(),
-            opts.machine.contexts
-        ));
-    }
-    Ok(opts)
+    req.checked()
 }
 
-/// Splits the trace-specific flags off `args`, returning the remainder
-/// (which parses as ordinary run options).
-pub fn parse_trace_options(args: &[String]) -> Result<(TraceOptions, Vec<String>), String> {
+/// Splits the trace-specific flags off `args`, setting `--interval` on
+/// `req` and returning the remainder (which parses as ordinary run
+/// options).
+pub fn parse_trace_options(
+    args: &[String],
+    req: &mut RunRequest,
+) -> Result<(TraceOptions, Vec<String>), String> {
     let mut topts = TraceOptions {
-        interval: 100,
         filter: EventFilter::all(),
         out: "multipath-trace.json".to_owned(),
         stats_out: "multipath-stats.json".to_owned(),
@@ -246,7 +170,7 @@ pub fn parse_trace_options(args: &[String]) -> Result<(TraceOptions, Vec<String>
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--interval" => topts.interval = parse_number(flag_value(&mut it, "--interval")?)?,
+            "--interval" => req.set("interval", Value::Text(flag_value(&mut it, "--interval")?))?,
             "--events" => {
                 topts.filter = EventFilter::parse(flag_value(&mut it, "--events")?)?;
             }
@@ -279,7 +203,7 @@ pub fn parse_trace_options(args: &[String]) -> Result<(TraceOptions, Vec<String>
 /// (which parses as ordinary run options).
 pub fn parse_explain_options(args: &[String]) -> Result<(ExplainOptions, Vec<String>), String> {
     let mut eopts = ExplainOptions {
-        top: 10,
+        top: ExplainRequest::DEFAULT_TOP,
         json_out: "multipath-explain.json".to_owned(),
         report_out: None,
         dot_out: None,
@@ -324,7 +248,7 @@ pub fn parse_figures(args: &[String]) -> Result<Vec<&'static str>, String> {
 }
 
 /// Parses the `multipath serve` flags into a [`ServeConfig`].
-pub fn parse_serve_options(args: &[String]) -> Result<ServeOptions, String> {
+pub fn parse_serve_options(args: &[String]) -> Result<ServeConfig, String> {
     let mut config = ServeConfig::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -344,7 +268,7 @@ pub fn parse_serve_options(args: &[String]) -> Result<ServeOptions, String> {
             other => return Err(format!("unknown serve option '{other}'")),
         }
     }
-    Ok(ServeOptions { config })
+    Ok(config)
 }
 
 fn flag_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, String> {
@@ -381,7 +305,7 @@ mod tests {
         ));
         assert!(matches!(
             parse_invocation(&argv("trace compress --interval 50 --stats-out s.json")),
-            Ok(Invocation::Trace(t, o)) if t.interval == 50 && o.benches.len() == 1
+            Ok(Invocation::Trace(_, o)) if o.interval == 50 && o.benches.len() == 1
         ));
         assert!(matches!(
             parse_invocation(&argv("explain compress --top 3 --tree")),
@@ -410,10 +334,10 @@ mod tests {
         assert!(matches!(
             parse_invocation(&argv("serve --addr 127.0.0.1:0 --workers 2 --queue 8 --cache-mb 16")),
             Ok(Invocation::Serve(s))
-                if s.config.addr == "127.0.0.1:0"
-                    && s.config.workers == 2
-                    && s.config.queue == 8
-                    && s.config.cache_bytes == 16 << 20
+                if s.addr == "127.0.0.1:0"
+                    && s.workers == 2
+                    && s.queue == 8
+                    && s.cache_bytes == 16 << 20
         ));
     }
 
@@ -450,12 +374,12 @@ mod tests {
     #[test]
     fn huge_commit_budgets_saturate_instead_of_wrapping() {
         // 2^63 per program times two programs wraps to 0 in u64.
-        let Ok(Invocation::Run(opts)) =
+        let Ok(Invocation::Run(req)) =
             parse_invocation(&argv("run compress compress --commits 9223372036854775808"))
         else {
             panic!("a huge budget is a valid command line");
         };
-        let spec = opts.spec(opts.features);
+        let spec = req.spec();
         assert_eq!(spec.total_commits(), u64::MAX);
         assert_eq!(spec.cycle_cap(), u64::MAX);
     }

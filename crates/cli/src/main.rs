@@ -1,59 +1,12 @@
 //! `multipath` — command-line driver for the instruction-recycling
-//! simulator.
-//!
-//! ```text
-//! multipath run [OPTIONS] <BENCH>...       simulate one workload
-//! multipath trace [OPTIONS] <BENCH>...     run with probes: Perfetto + stats.json
-//! multipath explain [OPTIONS] <BENCH>...   reuse/recycle attribution + path tree
-//! multipath compare [OPTIONS] <BENCH>...   all six configurations side by side
-//! multipath figures [FIG]...               regenerate paper figures (parallel sweep)
-//! multipath serve [SERVE OPTIONS]          persistent HTTP simulation service
-//! multipath list                           list benchmarks, machines, policies
-//! multipath disasm <BENCH>                 disassemble a kernel
-//!
-//! Options:
-//!   --features <smt|tme|rec|rec-ru|rec-rs|rec-rs-ru>   (run/trace/explain; default rec-rs-ru)
-//!   --machine  <big.2.16|big.1.8|small.2.8|small.1.8>  (default big.2.16)
-//!   --policy   <stop-N|fetch-N|nostop-N>               (default stop-8)
-//!   --commits  <N>      committed instructions per program (default 30000)
-//!   --seed     <N>      workload seed (default 1)
-//!
-//! Trace options:
-//!   --interval <N>      time-series interval width in cycles (default 100)
-//!   --events <LIST>     comma-separated event filter (default all)
-//!   --out <PATH>        Perfetto/Chrome-trace output (default multipath-trace.json)
-//!   --stats-out <PATH>  stats output (default multipath-stats.json)
-//!   --format <json|csv> stats output format: stats.json document, or one CSV
-//!                       row per interval under a COUNTER_NAMES header
-//!   --timeline <N>      also print the text timeline of the last N cycles
-//!   --print-events <N>  dump the last N events as text
-//!
-//! Explain options:
-//!   --top <N>           rows per attribution table (default 10)
-//!   --json-out <PATH>   multipath-explain/v1 document (default multipath-explain.json)
-//!   --report-out <PATH> also write the markdown report to a file
-//!   --dot-out <PATH>    write the fork/merge/squash path DAG as Graphviz DOT
-//!   --tree              print the ASCII path tree after the report
-//!
-//! Serve options:
-//!   --addr <HOST:PORT>  bind address (default 127.0.0.1:8273)
-//!   --workers <N>       worker threads (default: one per core)
-//!   --queue <N>         request-queue bound before 429s (default 64)
-//!   --cache-mb <N>      result-cache budget in MiB (default 64)
-//!
+//! simulator. The commands, their options and their defaults are listed
+//! in [`USAGE`], which every parse error prints; the workload fields and
+//! their defaults are defined once, by `multipath_serve::RunRequest`.
 //! Output paths get their parent directories created on demand.
-//!
-//! `figures` takes any of fig3 fig4 fig5 fig6 table1 explain (default:
-//! all), and
-//! honours MULTIPATH_THREADS (worker count), MULTIPATH_BUDGET=quick
-//! (smoke-sized sweep), and MP_FORMAT=csv.
-//! ```
 
-use multipath_cli::{
-    parse_invocation, ExplainOptions, Invocation, Options, ServeOptions, TraceOptions, USAGE,
-};
+use multipath_cli::{parse_invocation, ExplainOptions, Invocation, TraceOptions, USAGE};
 use multipath_core::{stats_json, Features, ProbeConfig, RunSpec, Stats};
-use multipath_serve::{signal, Server};
+use multipath_serve::{signal, RunRequest, ServeConfig, Server};
 use multipath_workload::kernels;
 use std::process::ExitCode;
 
@@ -89,43 +42,41 @@ fn print_stats(label: &str, s: &Stats) {
     );
 }
 
-fn cmd_run(opts: &Options) -> ExitCode {
-    let stats = opts.spec(opts.features).run().stats;
-    let names: Vec<&str> = opts.benches.iter().map(|b| b.name()).collect();
+fn cmd_run(req: &RunRequest) -> ExitCode {
+    let stats = req.spec().run().stats;
     println!(
         "workload: {} | {} committed in {} cycles",
-        names.join("+"),
+        req.label(),
         stats.committed,
         stats.cycles
     );
-    print_stats(opts.features.label(), &stats);
+    print_stats(req.features.label(), &stats);
     ExitCode::SUCCESS
 }
 
-fn cmd_trace(topts: &TraceOptions, opts: &Options) -> ExitCode {
+fn cmd_trace(topts: &TraceOptions, req: &RunRequest) -> ExitCode {
     let spec = RunSpec {
         probes: Some(ProbeConfig {
             ring: topts.print_events.map(|n| n.max(1)),
-            interval: Some(topts.interval.max(1)),
+            interval: Some(req.interval),
             spans: true,
             explain: false,
             filter: topts.filter,
         }),
         profile: true,
         timeline: topts.timeline,
-        ..opts.spec(opts.features)
+        ..req.spec()
     };
     let contexts = spec.config.contexts;
     let outcome = spec.run();
     let probes = outcome.probes.expect("probes were enabled");
     let stats = outcome.stats;
-    let names: Vec<&str> = opts.benches.iter().map(|b| b.name()).collect();
-    let label = names.join("+");
+    let label = req.label();
     println!(
         "workload: {label} | {} committed in {} cycles",
         stats.committed, stats.cycles
     );
-    print_stats(opts.features.label(), &stats);
+    print_stats(req.features.label(), &stats);
     if let Some(prof) = &outcome.profile {
         print!("{}", prof.report(stats.ipc()));
     }
@@ -146,7 +97,7 @@ fn cmd_trace(topts: &TraceOptions, opts: &Options) -> ExitCode {
     } else {
         stats_json(
             &label,
-            opts.features.label(),
+            req.features.label(),
             &stats,
             probes.interval.as_ref(),
         )
@@ -172,26 +123,25 @@ fn cmd_trace(topts: &TraceOptions, opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_explain(eopts: &ExplainOptions, opts: &Options) -> ExitCode {
+fn cmd_explain(eopts: &ExplainOptions, req: &RunRequest) -> ExitCode {
     let outcome = RunSpec {
         probes: Some(ProbeConfig {
             interval: None,
             explain: true,
             ..ProbeConfig::default()
         }),
-        ..opts.spec(opts.features)
+        ..req.spec()
     }
     .run();
     let stats = outcome.stats;
-    let names: Vec<&str> = opts.benches.iter().map(|b| b.name()).collect();
-    let label = names.join("+");
+    let label = req.label();
     let probes = outcome.probes.expect("probes were enabled");
     let attr = probes.attribution.as_ref().expect("attribution sink on");
     let tree = probes.tree.as_ref().expect("path-tree sink on");
 
     let report = multipath_core::explain_markdown(
         &label,
-        opts.features.label(),
+        req.features.label(),
         &stats,
         attr,
         tree,
@@ -204,7 +154,7 @@ fn cmd_explain(eopts: &ExplainOptions, opts: &Options) -> ExitCode {
     }
 
     let doc =
-        multipath_core::explain_json(&label, opts.features.label(), &stats, attr, tree, eopts.top);
+        multipath_core::explain_json(&label, req.features.label(), &stats, attr, tree, eopts.top);
     if let Err(e) = write_creating_dirs(&eopts.json_out, &doc) {
         eprintln!("error: writing {}: {e}", eopts.json_out);
         return ExitCode::FAILURE;
@@ -229,11 +179,15 @@ fn cmd_explain(eopts: &ExplainOptions, opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_compare(opts: &Options) -> ExitCode {
-    let names: Vec<&str> = opts.benches.iter().map(|b| b.name()).collect();
-    println!("workload: {}", names.join("+"));
+fn cmd_compare(req: &RunRequest) -> ExitCode {
+    println!("workload: {}", req.label());
     for features in Features::all_six() {
-        let stats = opts.spec(features).run().stats;
+        let stats = RunSpec {
+            config: req.config.clone().with_features(features),
+            ..req.spec()
+        }
+        .run()
+        .stats;
         print_stats(features.label(), &stats);
     }
     ExitCode::SUCCESS
@@ -280,11 +234,11 @@ fn cmd_disasm(bench: multipath_workload::Benchmark) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_serve(sopts: &ServeOptions) -> ExitCode {
-    let server = match Server::bind(&sopts.config) {
+fn cmd_serve(config: &ServeConfig) -> ExitCode {
+    let server = match Server::bind(config) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("error: binding {}: {e}", sopts.config.addr);
+            eprintln!("error: binding {}: {e}", config.addr);
             return ExitCode::FAILURE;
         }
     };
@@ -292,8 +246,8 @@ fn cmd_serve(sopts: &ServeOptions) -> ExitCode {
         "multipath serve listening on http://{} ({} workers, queue {}, cache {} MiB)",
         server.local_addr(),
         server.workers(),
-        sopts.config.queue,
-        sopts.config.cache_bytes >> 20,
+        config.queue,
+        config.cache_bytes >> 20,
     );
     eprintln!(
         "endpoints: POST /v1/run  POST /v1/sweep  GET /v1/explain/:kernel  /healthz  /metrics"
@@ -308,12 +262,12 @@ fn cmd_serve(sopts: &ServeOptions) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse_invocation(&args) {
-        Ok(Invocation::Run(opts)) => cmd_run(&opts),
-        Ok(Invocation::Trace(topts, opts)) => cmd_trace(&topts, &opts),
-        Ok(Invocation::Explain(eopts, opts)) => cmd_explain(&eopts, &opts),
-        Ok(Invocation::Compare(opts)) => cmd_compare(&opts),
+        Ok(Invocation::Run(req)) => cmd_run(&req),
+        Ok(Invocation::Trace(topts, req)) => cmd_trace(&topts, &req),
+        Ok(Invocation::Explain(eopts, req)) => cmd_explain(&eopts, &req),
+        Ok(Invocation::Compare(req)) => cmd_compare(&req),
         Ok(Invocation::Figures(figs)) => cmd_figures(&figs),
-        Ok(Invocation::Serve(sopts)) => cmd_serve(&sopts),
+        Ok(Invocation::Serve(config)) => cmd_serve(&config),
         Ok(Invocation::List) => cmd_list(),
         Ok(Invocation::Disasm(bench)) => cmd_disasm(bench),
         Err(msg) => {

@@ -59,7 +59,6 @@ pub use request::{ExplainRequest, RunRequest};
 use multipath_bench::parallel::{self, WorkerPool};
 use multipath_core::{stats_json, CancelToken, ProbeConfig, RunSpec};
 use multipath_testkit::Json;
-use multipath_workload::mix;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -612,16 +611,12 @@ fn run_document(
 ) -> Result<String, RunError> {
     let outcome = RunSpec {
         probes: Some(ProbeConfig {
-            interval: Some(run.interval.max(1)),
+            interval: Some(run.interval),
             ..ProbeConfig::default()
         }),
         profile: true,
         cancel: Some(cancel),
-        ..RunSpec::new(
-            run.config.clone(),
-            mix::programs(&run.benches, run.seed),
-            run.commits,
-        )
+        ..run.spec()
     }
     .run();
     if outcome.cancelled {
@@ -650,11 +645,7 @@ fn explain_document(explain: &ExplainRequest, state: &ServerState) -> String {
             ..ProbeConfig::default()
         }),
         profile: true,
-        ..RunSpec::new(
-            explain.config.clone(),
-            mix::programs(&[explain.bench], explain.seed),
-            explain.commits,
-        )
+        ..explain.run.spec()
     }
     .run();
     if let Some(profile) = &outcome.profile {
@@ -664,8 +655,8 @@ fn explain_document(explain: &ExplainRequest, state: &ServerState) -> String {
     let attr = probes.attribution.as_ref().expect("attribution sink on");
     let tree = probes.tree.as_ref().expect("path-tree sink on");
     multipath_core::explain_json(
-        explain.bench.name(),
-        explain.features.label(),
+        &explain.run.label(),
+        explain.run.features.label(),
         &outcome.stats,
         attr,
         tree,

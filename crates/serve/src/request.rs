@@ -1,26 +1,71 @@
-//! Request bodies: parsing, validation, and cache-key derivation.
+//! Run requests: the one description of a requested simulation.
 //!
-//! A run request carries exactly the knobs the `multipath run`/`trace`
-//! CLI exposes, with the same spellings and the same defaults — the
-//! loopback smoke test depends on a JSON body and a CLI invocation
-//! mapping to the *same* simulation. The cache key is the FNV-1a digest
-//! of the canonical configuration string plus everything else that
-//! determines the result bytes (kernels, seed, commit budget, interval
-//! width); the deadline is deliberately excluded, since it changes when
-//! an answer arrives, never what it is.
+//! Every result the simulator prints or serves is one point in a fixed
+//! vocabulary: kernels, a feature set, a machine preset, an
+//! alternate-path policy, a commit budget and a seed. [`RunRequest`] is
+//! that vocabulary's single definition — its defaults, its name → value
+//! resolution, its checks and its error messages. The front ends are thin
+//! syntax adapters over [`RunRequest::set`] and [`RunRequest::add_bench`]:
+//! `multipath` command-line flags (in `multipath-cli`), JSON bodies and
+//! sweep cells ([`RunRequest::from_json`]), and the query pairs of
+//! `GET /v1/explain` ([`ExplainRequest::from_query`]). A body and a
+//! command line naming the same run therefore build the same
+//! [`RunSpec`], which is what lets a served document match
+//! `multipath trace --stats-out` byte for byte.
+//!
+//! The cache key is the FNV-1a digest of the canonical configuration
+//! string plus everything else that determines the result bytes (kernels,
+//! seed, commit budget, interval width); the deadline is deliberately
+//! excluded, since it changes when an answer arrives, never what it is.
 
-use multipath_core::{AltPolicy, Features, SimConfig};
+use multipath_core::config::fnv1a;
+use multipath_core::{AltPolicy, Features, RunSpec, SimConfig};
 use multipath_testkit::Json;
-use multipath_workload::Benchmark;
+use multipath_workload::{mix, Benchmark};
 
-/// A validated `POST /v1/run` body (also one sweep cell).
+/// A field value as a front end spells it.
+#[derive(Debug, Clone, Copy)]
+pub enum Value<'a> {
+    /// A command-line flag value or a query parameter: always text.
+    Text(&'a str),
+    /// A JSON body member: names must be strings and numbers numbers.
+    Json(&'a Json),
+}
+
+impl<'a> Value<'a> {
+    fn name(self, field: &str) -> Result<&'a str, String> {
+        match self {
+            Value::Text(s) => Some(s),
+            Value::Json(v) => v.as_str(),
+        }
+        .ok_or_else(|| format!("{field:?} must be a string"))
+    }
+
+    fn number(self, field: &str) -> Result<u64, String> {
+        match self {
+            Value::Text(s) => s.parse().ok(),
+            Value::Json(v) => v.as_u64(),
+        }
+        .ok_or_else(|| format!("{field:?} must be a non-negative integer"))
+    }
+}
+
+/// Resolves a kernel name, with the error every front end reports.
+pub fn bench(name: &str) -> Result<Benchmark, String> {
+    Benchmark::from_name(name)
+        .ok_or_else(|| format!("unknown benchmark {name:?} (see `multipath list`)"))
+}
+
+/// A `POST /v1/run` body, a sweep cell, or a simulating `multipath`
+/// command line.
 #[derive(Debug, Clone)]
 pub struct RunRequest {
     /// The workload kernels, in request order.
     pub benches: Vec<Benchmark>,
-    /// The feature set (default `rec-rs-ru`, as in the CLI).
+    /// The feature set (default `rec-rs-ru`).
     pub features: Features,
-    /// The fully configured machine (geometry + features + policy).
+    /// The fully configured machine (geometry + features + policy;
+    /// default `big.2.16` with its preset policy).
     pub config: SimConfig,
     /// Committed instructions per program (default 30000).
     pub commits: u64,
@@ -30,9 +75,31 @@ pub struct RunRequest {
     pub interval: u64,
     /// Optional wall-clock budget for the simulation, in milliseconds.
     pub deadline_ms: Option<u64>,
+    /// The explicit policy, kept so a later `machine` does not reset it.
+    policy: Option<AltPolicy>,
+}
+
+impl Default for RunRequest {
+    /// Every field at its default, and no kernels yet.
+    fn default() -> RunRequest {
+        RunRequest {
+            benches: Vec::new(),
+            features: Features::rec_rs_ru(),
+            config: SimConfig::big_2_16().with_features(Features::rec_rs_ru()),
+            commits: 30_000,
+            seed: 1,
+            interval: 100,
+            deadline_ms: None,
+            policy: None,
+        }
+    }
 }
 
 impl RunRequest {
+    /// The fields every front end accepts.
+    pub const COMMON_FIELDS: [&'static str; 5] =
+        ["features", "machine", "policy", "commits", "seed"];
+
     /// Parses and validates a JSON request body.
     pub fn parse(body: &str) -> Result<RunRequest, String> {
         let doc = Json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
@@ -45,86 +112,98 @@ impl RunRequest {
         let Json::Obj(map) = doc else {
             return Err("request body must be a JSON object".to_owned());
         };
-        const KNOWN: [&str; 8] = [
-            "benches",
-            "features",
-            "machine",
-            "policy",
-            "commits",
-            "seed",
-            "interval",
-            "deadline_ms",
-        ];
-        for key in map.keys() {
-            if !KNOWN.contains(&key.as_str()) {
+        let mut run = RunRequest::default();
+        for (key, value) in map {
+            if key != "benches" {
+                run.set(key, Value::Json(value))?;
+                continue;
+            }
+            let names = value
+                .as_arr()
+                .ok_or("\"benches\" must be an array of kernel names")?;
+            for name in names {
+                run.add_bench(name.as_str().ok_or("\"benches\" entries must be strings")?)?;
+            }
+        }
+        run.checked()
+    }
+
+    /// Appends one kernel by name.
+    pub fn add_bench(&mut self, name: &str) -> Result<(), String> {
+        self.benches.push(bench(name)?);
+        Ok(())
+    }
+
+    /// Sets one field, named as a JSON body spells it: `features`,
+    /// `machine`, `policy`, `commits`, `seed`, `interval` or
+    /// `deadline_ms`. A front end that takes only some of them filters
+    /// before calling this.
+    pub fn set(&mut self, field: &str, value: Value<'_>) -> Result<(), String> {
+        match field {
+            "features" => {
+                let name = value.name(field)?;
+                let features = Features::from_name(name)
+                    .ok_or_else(|| format!("unknown features {name:?}"))?;
+                self.features = features;
+                self.config.features = features;
+            }
+            "machine" => {
+                let name = value.name(field)?;
+                let preset = SimConfig::from_machine_name(name)
+                    .ok_or_else(|| format!("unknown machine {name:?}"))?;
+                let policy = self.policy.unwrap_or(preset.alt_policy);
+                self.config = preset.with_features(self.features).with_alt_policy(policy);
+            }
+            "policy" => {
+                let name = value.name(field)?;
+                let policy = AltPolicy::from_label(name)
+                    .ok_or_else(|| format!("unknown policy {name:?}"))?;
+                self.policy = Some(policy);
+                self.config.alt_policy = policy;
+            }
+            "commits" => {
+                self.commits = value.number(field)?;
+                if self.commits == 0 {
+                    return Err("\"commits\" must be positive".to_owned());
+                }
+            }
+            "seed" => self.seed = value.number(field)?,
+            "interval" => self.interval = value.number(field)?.max(1),
+            "deadline_ms" => self.deadline_ms = Some(value.number(field)?),
+            _ => {
                 return Err(format!(
-                    "unknown field {key:?} (expected one of {})",
-                    KNOWN.join(", ")
-                ));
+                    "unknown field {field:?} (expected one of benches, {}, interval, deadline_ms)",
+                    RunRequest::COMMON_FIELDS.join(", ")
+                ))
             }
         }
+        Ok(())
+    }
 
-        let benches = doc
-            .get("benches")
-            .ok_or("missing required field \"benches\"")?
-            .as_arr()
-            .ok_or("\"benches\" must be an array of kernel names")?
-            .iter()
-            .map(|b| {
-                let name = b.as_str().ok_or("\"benches\" entries must be strings")?;
-                Benchmark::from_name(name)
-                    .ok_or_else(|| format!("unknown benchmark {name:?} (see `multipath list`)"))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        if benches.is_empty() {
-            return Err("\"benches\" must name at least one kernel".to_owned());
+    /// The checks that span fields, which every front end ends with: at
+    /// least one kernel, and no more kernels than hardware contexts.
+    pub fn checked(self) -> Result<RunRequest, String> {
+        if self.benches.is_empty() {
+            return Err("no benchmarks given (see `multipath list`)".to_owned());
         }
-
-        let features = match doc.get("features") {
-            None => Features::rec_rs_ru(),
-            Some(v) => {
-                let s = v.as_str().ok_or("\"features\" must be a string")?;
-                Features::from_name(s).ok_or_else(|| format!("unknown features {s:?}"))?
-            }
-        };
-        let machine = match doc.get("machine") {
-            None => SimConfig::big_2_16(),
-            Some(v) => {
-                let s = v.as_str().ok_or("\"machine\" must be a string")?;
-                SimConfig::from_machine_name(s).ok_or_else(|| format!("unknown machine {s:?}"))?
-            }
-        };
-        let mut config = machine.with_features(features);
-        if let Some(v) = doc.get("policy") {
-            let s = v.as_str().ok_or("\"policy\" must be a string")?;
-            let policy = AltPolicy::from_label(s).ok_or_else(|| format!("unknown policy {s:?}"))?;
-            config = config.with_alt_policy(policy);
-        }
-        if benches.len() > config.contexts {
+        if self.benches.len() > self.config.contexts {
             return Err(format!(
                 "{} programs exceed the machine's {} hardware contexts",
-                benches.len(),
-                config.contexts
+                self.benches.len(),
+                self.config.contexts
             ));
         }
+        Ok(self)
+    }
 
-        let commits = parse_u64(doc, "commits")?.unwrap_or(30_000);
-        if commits == 0 {
-            return Err("\"commits\" must be positive".to_owned());
-        }
-        let seed = parse_u64(doc, "seed")?.unwrap_or(1);
-        let interval = parse_u64(doc, "interval")?.unwrap_or(100).max(1);
-        let deadline_ms = parse_u64(doc, "deadline_ms")?;
-
-        Ok(RunRequest {
-            benches,
-            features,
-            config,
-            commits,
-            seed,
-            interval,
-            deadline_ms,
-        })
+    /// The run this request describes, with the default cycle cap and no
+    /// probes; each front end adds the probes its output needs.
+    pub fn spec(&self) -> RunSpec {
+        RunSpec::new(
+            self.config.clone(),
+            mix::programs(&self.benches, self.seed),
+            self.commits,
+        )
     }
 
     /// The workload label (`"compress+gcc"`), as the CLI prints it.
@@ -159,75 +238,37 @@ impl RunRequest {
 /// A validated `GET /v1/explain/:kernel` request.
 #[derive(Debug, Clone)]
 pub struct ExplainRequest {
-    /// The single kernel to attribute.
-    pub bench: Benchmark,
-    /// The feature set (default `rec-rs-ru`).
-    pub features: Features,
-    /// The fully configured machine.
-    pub config: SimConfig,
-    /// Committed instructions (default 30000).
-    pub commits: u64,
-    /// Workload seed (default 1).
-    pub seed: u64,
-    /// Rows per attribution table (default 10).
+    /// The run to attribute: the path's one kernel and the query's
+    /// common fields.
+    pub run: RunRequest,
+    /// Rows per attribution table.
     pub top: usize,
 }
 
 impl ExplainRequest {
+    /// The default number of rows per attribution table.
+    pub const DEFAULT_TOP: usize = 10;
+
     /// Builds an explain request from the path's kernel name and the
-    /// query parameters (`features`, `machine`, `policy`, `commits`,
-    /// `seed`, `top`).
+    /// query parameters: [`RunRequest::COMMON_FIELDS`] and `top`.
     pub fn from_query(kernel: &str, params: &[(String, String)]) -> Result<ExplainRequest, String> {
-        let bench = Benchmark::from_name(kernel)
-            .ok_or_else(|| format!("unknown benchmark {kernel:?} (see `multipath list`)"))?;
-        let mut features = Features::rec_rs_ru();
-        let mut machine = SimConfig::big_2_16();
-        let mut policy = None;
-        let mut commits: u64 = 30_000;
-        let mut seed: u64 = 1;
-        let mut top: usize = 10;
+        let mut run = RunRequest::default();
+        run.add_bench(kernel)?;
+        let mut top = ExplainRequest::DEFAULT_TOP;
         for (key, value) in params {
             match key.as_str() {
-                "features" => {
-                    features = Features::from_name(value)
-                        .ok_or_else(|| format!("unknown features {value:?}"))?;
-                }
-                "machine" => {
-                    machine = SimConfig::from_machine_name(value)
-                        .ok_or_else(|| format!("unknown machine {value:?}"))?;
-                }
-                "policy" => {
-                    policy = Some(
-                        AltPolicy::from_label(value)
-                            .ok_or_else(|| format!("unknown policy {value:?}"))?,
-                    );
-                }
-                "commits" => {
-                    commits = value
-                        .parse()
-                        .ok()
-                        .filter(|&n: &u64| n > 0)
-                        .ok_or_else(|| format!("bad commits {value:?}"))?;
-                }
-                "seed" => {
-                    seed = value.parse().map_err(|_| format!("bad seed {value:?}"))?;
-                }
+                // More rows than a table has means all of them.
                 "top" => {
-                    top = value.parse().map_err(|_| format!("bad top {value:?}"))?;
+                    top = usize::try_from(Value::Text(value).number(key)?).unwrap_or(usize::MAX)
+                }
+                field if RunRequest::COMMON_FIELDS.contains(&field) => {
+                    run.set(field, Value::Text(value))?
                 }
                 other => return Err(format!("unknown query parameter {other:?}")),
             }
         }
-        let mut config = machine.with_features(features);
-        if let Some(p) = policy {
-            config = config.with_alt_policy(p);
-        }
         Ok(ExplainRequest {
-            bench,
-            features,
-            config,
-            commits,
-            seed,
+            run: run.checked()?,
             top,
         })
     }
@@ -236,37 +277,14 @@ impl ExplainRequest {
     pub fn cache_key(&self) -> u64 {
         let canon = format!(
             "explain;config={};bench={};seed={};commits={};top={}",
-            self.config.canonical_string(),
-            self.bench.name(),
-            self.seed,
-            self.commits,
+            self.run.config.canonical_string(),
+            self.run.label(),
+            self.run.seed,
+            self.run.commits,
             self.top
         );
         fnv1a(canon.as_bytes())
     }
-}
-
-fn parse_u64(doc: &Json, key: &str) -> Result<Option<u64>, String> {
-    match doc.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("{key:?} must be a non-negative integer")),
-    }
-}
-
-/// FNV-1a 64 — the workspace's standard content-address digest (the same
-/// function fingerprints canonical configurations in `multipath-core`).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -294,6 +312,14 @@ mod tests {
         assert!(RunRequest::parse(r#"{"benches": ["gcc"], "commits": 0}"#).is_err());
         assert!(RunRequest::parse(r#"{"benches": ["gcc"], "features": "max"}"#).is_err());
         assert!(RunRequest::parse("[1,2]").is_err());
+        // 2^53 + 1 reads as the double 2^53, so it cannot name a seed
+        // exactly; it must not silently run (and cache as) 2^53.
+        assert_eq!(
+            RunRequest::parse(r#"{"benches": ["gcc"], "seed": 9007199254740993}"#).unwrap_err(),
+            "\"seed\" must be a non-negative integer"
+        );
+        let largest = RunRequest::parse(r#"{"benches": ["gcc"], "seed": 9007199254740991}"#);
+        assert_eq!(largest.unwrap().seed, (1 << 53) - 1);
     }
 
     #[test]
@@ -341,10 +367,13 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(req.bench.name(), "compress");
-        assert_eq!(req.features.label(), "REC");
-        assert_eq!((req.commits, req.top), (4000, 3));
+        assert_eq!(req.run.label(), "compress");
+        assert_eq!(req.run.features.label(), "REC");
+        assert_eq!((req.run.commits, req.top), (4000, 3));
         assert!(ExplainRequest::from_query("compress", &[("x".into(), "1".into())]).is_err());
+        assert!(
+            ExplainRequest::from_query("compress", &[("interval".into(), "5".into())]).is_err()
+        );
         assert!(ExplainRequest::from_query("nope", &[]).is_err());
     }
 }

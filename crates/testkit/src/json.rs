@@ -1,12 +1,13 @@
-//! A minimal recursive-descent JSON parser for round-trip tests.
+//! A minimal recursive-descent JSON parser.
 //!
-//! The workspace emits hand-rendered JSON (bench reports, Perfetto traces,
-//! stats documents) and carries no external crates, so validating that
-//! output needs a parser of our own. This one covers the full JSON grammar
-//! the emitters use: objects, arrays, strings with `\uXXXX`/standard
-//! escapes, numbers (parsed as `f64` — every emitted integer fits 2^53),
-//! booleans, and null. It is a *test* tool: errors favour clarity over
-//! speed, and numbers beyond f64's integer range are out of scope.
+//! The workspace emits hand-rendered JSON (Perfetto traces, stats
+//! documents) and carries no external crates, so validating that output
+//! needs a parser of our own; `multipath serve` reads its request bodies
+//! with it too, so parsing stays linear in the input. It covers the full
+//! JSON grammar the emitters use: objects, arrays, strings with
+//! `\uXXXX`/standard escapes, numbers (parsed as `f64` — every emitted
+//! integer is below 2^53), booleans, and null. Errors favour clarity, and
+//! numbers beyond f64's integer range are out of scope.
 
 use std::collections::BTreeMap;
 
@@ -32,6 +33,7 @@ impl Json {
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -68,10 +70,13 @@ impl Json {
         }
     }
 
-    /// The number as an exact u64, if this is a non-negative integer.
+    /// The number as an exact u64, if this is a non-negative integer
+    /// below 2^53.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
+            // 2^53 itself is out: 2^53 + 1 also reads as that double, so
+            // it cannot name one integer exactly.
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 2f64.powi(53) => Some(*n as u64),
             _ => None,
         }
     }
@@ -86,6 +91,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -227,12 +233,19 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = rest.chars().next().ok_or_else(|| self.err("eof"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // go. Both are ASCII, so the run ends on a char boundary.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let chunk = self
+                        .text
+                        .get(self.pos..self.pos + run)
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
+                    out.push_str(chunk);
+                    self.pos += run;
                 }
             }
         }
@@ -291,6 +304,30 @@ mod tests {
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn integers_are_exact_only_below_2_pow_53() {
+        let max = Json::parse("9007199254740991").unwrap();
+        assert_eq!(max.as_u64(), Some((1 << 53) - 1));
+        // Both read as the double 2^53, so neither names one integer.
+        assert_eq!(Json::parse("9007199254740992").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("9007199254740993").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn a_one_mib_string_parses_in_linear_time() {
+        let body = format!("{{\"s\": \"{}é\\n\"}}", "x".repeat(1 << 20));
+        let started = std::time::Instant::now();
+        let doc = Json::parse(&body).unwrap();
+        let elapsed = started.elapsed();
+        let s = doc.get("s").and_then(Json::as_str).unwrap();
+        assert_eq!(s.len(), (1 << 20) + "é\n".len());
+        assert!(s.ends_with("xé\n"));
+        assert!(
+            elapsed.as_secs_f64() < 5.0,
+            "parsing a 1 MiB string took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -131,26 +131,18 @@ pub fn random_program(seed: u64, body_blocks: usize, outer: i16) -> Program {
 /// digest per kernel/configuration; any change to what commits, in what
 /// order, or with what result moves the digest.
 pub fn commit_digest(log: &[(u64, Option<u64>)]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut bytes = Vec::with_capacity(log.len() * 24);
     for &(pc, value) in log {
-        eat(pc);
+        bytes.extend(pc.to_le_bytes());
         match value {
             Some(v) => {
-                eat(1);
-                eat(v);
+                bytes.extend(1u64.to_le_bytes());
+                bytes.extend(v.to_le_bytes());
             }
-            None => eat(0),
+            None => bytes.extend(0u64.to_le_bytes()),
         }
     }
-    h
+    multipath_core::config::fnv1a(&bytes)
 }
 
 /// Reads the final scratch segment (including the checksum slot).
