@@ -117,6 +117,8 @@ pub(crate) struct Scratch {
     pub candidates: Vec<CtxId>,
     /// Emptied replay queues waiting to be reused by the next respawn.
     pub spare_replay_queues: Vec<VecDeque<Handle>>,
+    /// Entries leaving the instruction queues on a squash or undispatch.
+    pub dequeued: Vec<crate::issue_stage::IqEntry>,
 }
 
 #[cfg(test)]

@@ -252,27 +252,24 @@ impl Context {
         }
     }
 
-    /// Records a debug front-end event (no-op in release builds).
+    /// Records a debug front-end event. `msg` runs only in debug builds,
+    /// so release builds format nothing.
     #[cfg(debug_assertions)]
-    pub fn log_fe(&mut self, cycle: u64, msg: String) {
+    pub fn log_fe(&mut self, cycle: u64, msg: impl FnOnce() -> String) {
         if self.fe_log.len() >= 48 {
             self.fe_log.pop_front();
         }
-        self.fe_log.push_back(format!("cycle {cycle}: {msg}"));
+        self.fe_log.push_back(format!("cycle {cycle}: {}", msg()));
     }
 
     /// Records a debug front-end event (no-op in release builds).
     #[cfg(not(debug_assertions))]
-    pub fn log_fe(&mut self, _cycle: u64, _msg: String) {}
+    pub fn log_fe(&mut self, _cycle: u64, _msg: impl FnOnce() -> String) {}
 
     /// The PC of the first instruction of this context's trace (the
     /// primary merge / respawn match point for alternates and inactives).
     pub fn first_pc(&self) -> Option<u64> {
-        self.al.at_seq(0).map(|e| e.pc).or_else(|| {
-            // Alternates never commit, so their first entry is seq 0; but
-            // be robust to head movement.
-            self.al.at_seq(0).map(|e| e.pc)
-        })
+        self.al.at_seq(0).map(|e| e.pc)
     }
 
     /// Whether this context may be reclaimed for a new fork right now.

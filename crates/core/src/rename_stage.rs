@@ -9,7 +9,8 @@
 use crate::active_list::{AlEntry, BranchState, EntryState, MemState};
 use crate::context::{CtxState, FetchPrediction, StreamSource};
 use crate::ids::CtxId;
-use crate::sim::{IqEntry, Simulator};
+use crate::issue_stage::IqEntry;
+use crate::sim::Simulator;
 use multipath_branch::GlobalHistory;
 use multipath_isa::{FuClass, Inst, Opcode, OperandClass, INST_BYTES};
 
@@ -96,7 +97,7 @@ impl Simulator {
         {
             let cyc = self.cycle;
             let fpc = self.contexts[ctx.index()].fetch_pc;
-            self.contexts[ctx.index()].log_fe(cyc, format!("cap-hit -> {fpc:#x}"));
+            self.contexts[ctx.index()].log_fe(cyc, || format!("cap-hit -> {fpc:#x}"));
         }
         true
     }
@@ -369,10 +370,15 @@ impl Simulator {
         }
         let fu = inst.op.fu_class();
         let is_fp_queue = matches!(fu, FuClass::FpAdd | FuClass::FpMul | FuClass::FpDiv);
-        if is_fp_queue {
-            self.iq_fp.len() < self.config.fp_queue
+        self.iq.len(is_fp_queue) < self.queue_capacity(is_fp_queue)
+    }
+
+    /// Entries the integer or floating-point queue holds.
+    fn queue_capacity(&self, fp_queue: bool) -> usize {
+        if fp_queue {
+            self.config.fp_queue
         } else {
-            self.iq_int.len() < self.config.int_queue
+            self.config.int_queue
         }
     }
 
@@ -394,7 +400,7 @@ impl Simulator {
         // A halt fetched on the discarded path must not keep the thread
         // muted on the new one.
         c.fetch_stopped = false;
-        c.log_fe(cycle, format!("cancel -> {pc:#x}"));
+        c.log_fe(cycle, || format!("cancel -> {pc:#x}"));
         c.fetch_stall_until = cycle + 1;
     }
 
@@ -488,13 +494,12 @@ impl Simulator {
             let pc = entry.pc;
             let val = self.regs.read(preg);
             let sseq = entry.seq;
-            self.contexts[ctx.index()].log_fe(
-                cyc,
+            self.contexts[ctx.index()].log_fe(cyc, || {
                 format!(
                     "reuse {} pc={pc:#x} src ctx{} seq{} val={val}",
                     entry.inst, _source.0, sseq
-                ),
-            );
+                )
+            });
         }
         debug_assert_eq!(entry.pc, self.contexts[ctx.index()].al_next_pc);
         self.contexts[ctx.index()].al.insert(new);
@@ -551,20 +556,13 @@ impl Simulator {
             CtxState::Alternate { resolved: true, .. }
         ) && !self.config.alt_policy.execute_after_resolve();
         let needs_queue = !skips_queue && !fetched_only;
-        if needs_queue {
-            let (q, cap) = if is_fp_queue {
-                (&self.iq_fp, self.config.fp_queue)
-            } else {
-                (&self.iq_int, self.config.int_queue)
-            };
-            if q.len() >= cap {
-                return Err(Stall::Resources);
-            }
+        if needs_queue && self.iq.len(is_fp_queue) >= self.queue_capacity(is_fp_queue) {
+            return Err(Stall::Resources);
         }
         // Allocate the destination register before taking reader refs so a
         // failed allocation has nothing to unwind.
         let new_preg = match inst.dest {
-            Some(d) => match self.regs.alloc(!d.is_int()) {
+            Some(d) => match self.alloc_reg(!d.is_int()) {
                 Some(p) => Some(p),
                 None => {
                     self.stats.preg_stall_cycles += 1;
@@ -682,7 +680,7 @@ impl Simulator {
         // The link register value is known at rename.
         if op == Opcode::Jsr && !fetched_only {
             if let Some(p) = new_preg {
-                self.regs.write(p, fallthrough);
+                self.write_reg(p, fallthrough);
             }
         }
         if op.is_store() && !fetched_only {
@@ -698,10 +696,9 @@ impl Simulator {
         #[cfg(debug_assertions)]
         {
             let cyc = self.cycle;
-            self.contexts[ctx.index()].log_fe(
-                cyc,
-                format!("rename {inst} pc={pc:#x} next={next_pc:#x} seq={seq} rec={recycled}"),
-            );
+            self.contexts[ctx.index()].log_fe(cyc, || {
+                format!("rename {inst} pc={pc:#x} next={next_pc:#x} seq={seq} rec={recycled}")
+            });
         }
 
         // Backward-branch merge point (Section 3.2): a taken backward
@@ -726,12 +723,9 @@ impl Simulator {
                 tag,
                 srcs,
                 fu,
+                pending: 0,
             };
-            if is_fp_queue {
-                self.iq_fp.push_back(iq);
-            } else {
-                self.iq_int.push_back(iq);
-            }
+            self.iq.dispatch(is_fp_queue, iq, &self.regs);
         }
 
         self.stats.renamed += 1;

@@ -11,18 +11,19 @@ use crate::active_list::AlEntry;
 use crate::arena::{Scratch, Slab};
 use crate::config::SimConfig;
 use crate::context::Context;
-use crate::ids::{CtxId, InstTag, PhysReg, ProgId};
+use crate::ids::{CtxId, InstTag, ProgId};
+use crate::issue_stage::IssueQueues;
 use crate::map::MapTable;
 use crate::probe::StageProfile;
 use crate::regfile::RegFiles;
 use crate::reuse::{Mdb, WrittenBits};
 use crate::stats::Stats;
 use multipath_branch::BranchPredictor;
-use multipath_isa::{FuClass, IntReg, Reg};
+use multipath_isa::{IntReg, Reg};
 use multipath_mem::{Asid, Memory, MemoryHierarchy};
 use multipath_workload::Program;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 /// One running program: its image, address space, and progress.
@@ -64,16 +65,6 @@ impl GroupSpan {
     pub(crate) fn iter(self) -> impl Iterator<Item = CtxId> {
         (self.start..self.start + self.len).map(CtxId)
     }
-}
-
-/// An instruction-queue entry (the wakeup/select window).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct IqEntry {
-    pub ctx: CtxId,
-    pub seq: u64,
-    pub tag: InstTag,
-    pub srcs: [Option<PhysReg>; 2],
-    pub fu: FuClass,
 }
 
 /// A scheduled completion (result broadcast / branch resolution).
@@ -161,8 +152,7 @@ pub struct Simulator {
     pub(crate) hierarchy: MemoryHierarchy,
     pub(crate) programs: Vec<ProgramInstance>,
     pub(crate) groups: Vec<Group>,
-    pub(crate) iq_int: VecDeque<IqEntry>,
-    pub(crate) iq_fp: VecDeque<IqEntry>,
+    pub(crate) iq: IssueQueues,
     pub(crate) events: BinaryHeap<Reverse<CompletionEvent>>,
     pub(crate) next_tag: u64,
     pub(crate) stats: Stats,
@@ -287,8 +277,7 @@ impl Simulator {
             contexts,
             programs: instances,
             groups,
-            iq_int: VecDeque::new(),
-            iq_fp: VecDeque::new(),
+            iq: IssueQueues::new(config.contexts, config.phys_int, config.phys_fp),
             events: BinaryHeap::new(),
             next_tag: 0,
             stats,
@@ -377,6 +366,7 @@ impl Simulator {
         #[cfg(debug_assertions)]
         if self.cycle.is_multiple_of(4096) {
             self.regs.check_conservation();
+            self.check_queues();
         }
         if self.probes.is_some() {
             self.probe_cycle_end();
@@ -540,8 +530,8 @@ impl Simulator {
         let _ = writeln!(
             out,
             "  iq_int={} iq_fp={} events={} free_int={} free_fp={}",
-            self.iq_int.len(),
-            self.iq_fp.len(),
+            self.iq.len(false),
+            self.iq.len(true),
             self.events.len(),
             self.regs.free_count(false),
             self.regs.free_count(true)
@@ -553,8 +543,8 @@ impl Simulator {
     pub fn debug_iq(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for (name, q) in [("int", &self.iq_int), ("fp", &self.iq_fp)] {
-            for e in q.iter().take(12) {
+        for (name, fp_queue) in [("int", false), ("fp", true)] {
+            for e in self.iq.in_order(fp_queue).iter().take(12) {
                 let entry = self.contexts[e.ctx.index()].al.at_seq(e.seq);
                 let srcs: Vec<String> = e
                     .srcs
@@ -655,17 +645,12 @@ impl Simulator {
         counts.clear();
         counts.resize(self.contexts.len(), 0);
         for ctx in &self.contexts {
-            let mut n = ctx.decode_pipe.len() as u64;
+            let mut n = ctx.decode_pipe.len() as u64 + u64::from(self.iq.occupancy(ctx.id));
             if let Some(stream) = &ctx.recycle_stream {
                 // Recycled instructions count immediately (Section 3.3).
                 n += stream.remaining();
             }
             counts[ctx.id.index()] = n;
-        }
-        for q in [&self.iq_int, &self.iq_fp] {
-            for e in q {
-                counts[e.ctx.index()] += 1;
-            }
         }
     }
 

@@ -36,7 +36,7 @@ impl Simulator {
                 e.new_preg
             };
             if let (Some(result), Some(p)) = (ev.result, new_preg) {
-                self.regs.write(p, result);
+                self.write_reg(p, result);
             }
             // Correctly predicted branches resolve immediately (their
             // effects are side-effect-free for older instructions);
@@ -234,7 +234,7 @@ impl Simulator {
         let cycle = self.cycle;
         let c = &mut self.contexts[ctx.index()];
         c.decode_pipe.clear();
-        c.log_fe(cycle, format!("recover -> {redirect:#x}"));
+        c.log_fe(cycle, || format!("recover -> {redirect:#x}"));
         c.fetch_pc = redirect;
         c.al_next_pc = redirect;
         c.fetch_stall_until = cycle + 1;
@@ -284,62 +284,6 @@ impl Simulator {
                 self.undispatch(alt);
             }
             AltPolicy::NoStop(_) => {}
-        }
-    }
-
-    /// Removes `ctx`'s pending instructions from the queues without
-    /// squashing them: they stay in the trace as fetched-only entries.
-    pub(crate) fn undispatch(&mut self, ctx: CtxId) {
-        for fp in [false, true] {
-            // Compact in place: other contexts' entries slide down in age
-            // order; every entry of `ctx` leaves the queue.
-            let mut q = std::mem::take(if fp {
-                &mut self.iq_fp
-            } else {
-                &mut self.iq_int
-            });
-            let mut kept = 0;
-            for i in 0..q.len() {
-                let e = q[i];
-                if e.ctx != ctx {
-                    q[kept] = e;
-                    kept += 1;
-                    continue;
-                }
-                // Only live, still-pending entries hold reader references;
-                // stale queue entries (already squashed) must not release
-                // them a second time.
-                let live = self.contexts[ctx.index()].al.is_live(e.seq);
-                let valid = live
-                    && self.contexts[ctx.index()]
-                        .al
-                        .at_seq(e.seq)
-                        .is_some_and(|a| a.tag == e.tag && a.state == EntryState::Pending);
-                if !valid {
-                    continue;
-                }
-                for src in e.srcs.into_iter().flatten() {
-                    self.regs.release(src);
-                }
-                let is_store = {
-                    let a = self.contexts[ctx.index()]
-                        .al
-                        .at_seq_mut(e.seq)
-                        .expect("validated");
-                    a.fetched_only = true;
-                    a.srcs = [None; 2];
-                    a.inst.op.is_store()
-                };
-                if is_store {
-                    self.contexts[ctx.index()].clear_pending_store(e.tag);
-                }
-            }
-            q.truncate(kept);
-            if fp {
-                self.iq_fp = q;
-            } else {
-                self.iq_int = q;
-            }
         }
     }
 }
