@@ -10,13 +10,16 @@
 //!   The respawn replay path stores its drained trace entries here and
 //!   passes 8-byte handles around instead of cloning ~200-byte payloads.
 //! - `Scratch` (crate-internal): the per-cycle working buffers owned by `Simulator`
-//!   (ICOUNT tallies, thread orderings, spare replay queues). Stages take
-//!   a buffer out, use it, and put it back; the capacity survives across
-//!   cycles so steady-state simulation performs no heap allocation for
-//!   them at all.
+//!   (the due-completion batch, spare replay queues, dequeued entries).
+//!   Stages take a buffer out, use it, and put it back; the capacity
+//!   survives across cycles so steady-state simulation performs no heap
+//!   allocation for them at all.
+//! - `CompletionWheel` (crate-internal): scheduled completions in
+//!   per-cycle buckets whose vectors circulate through the scratch batch.
 
-use crate::ids::CtxId;
-use std::collections::VecDeque;
+use crate::sim::CompletionEvent;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A generation-tagged reference to a [`Slab`] slot.
 ///
@@ -109,16 +112,76 @@ impl<T> Slab<T> {
 /// whole run.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
-    /// Per-context ICOUNT tallies (rename and fetch thread selection).
-    pub icounts: Vec<u64>,
-    /// Rename-stage thread ordering.
-    pub order: Vec<CtxId>,
-    /// Fetch-stage candidate ordering.
-    pub candidates: Vec<CtxId>,
+    /// The completions writeback handles this cycle.
+    pub due: Vec<CompletionEvent>,
     /// Emptied replay queues waiting to be reused by the next respawn.
     pub spare_replay_queues: Vec<VecDeque<Handle>>,
     /// Entries leaving the instruction queues on a squash or undispatch.
     pub dequeued: Vec<crate::issue_stage::IqEntry>,
+}
+
+/// Cycles the wheel's buckets cover (a power of two). A full miss to
+/// memory takes 80 cycles, so the overflow heap is rarely used.
+const WHEEL_SLOTS: usize = 256;
+
+/// The wheel bucket for events due at cycle `at`.
+fn slot(at: u64) -> usize {
+    (at % WHEEL_SLOTS as u64) as usize
+}
+
+/// Scheduled completions, bucketed by the cycle they are due.
+///
+/// A ring of [`WHEEL_SLOTS`] per-cycle buckets holds events due within
+/// that many cycles of the next drain; a heap holds any due later. The
+/// owner drains every cycle, in order, so the events due at `now` are
+/// exactly bucket `now % WHEEL_SLOTS` plus the heap's events due by `now`;
+/// sorted, they come out in the `(at, tag)` order a heap of all events
+/// would pop them in.
+#[derive(Debug)]
+pub(crate) struct CompletionWheel {
+    buckets: Vec<Vec<CompletionEvent>>,
+    far: BinaryHeap<Reverse<CompletionEvent>>,
+    /// The next cycle [`CompletionWheel::take_due`] drains.
+    next: u64,
+}
+
+impl CompletionWheel {
+    /// An empty wheel whose first drain is cycle 0.
+    pub fn new() -> CompletionWheel {
+        CompletionWheel {
+            buckets: vec![Vec::new(); WHEEL_SLOTS],
+            far: BinaryHeap::new(),
+            next: 0,
+        }
+    }
+
+    /// Schedules `ev`, which must not be due in a cycle already drained.
+    pub fn push(&mut self, ev: CompletionEvent) {
+        debug_assert!(ev.at >= self.next, "completion scheduled in the past");
+        if ev.at - self.next < WHEEL_SLOTS as u64 {
+            self.buckets[slot(ev.at)].push(ev);
+        } else {
+            self.far.push(Reverse(ev));
+        }
+    }
+
+    /// Moves every event due at `now` into the empty `batch`, in `(at,
+    /// tag)` order. Call once per cycle, for consecutive cycles from 0.
+    pub fn take_due(&mut self, now: u64, batch: &mut Vec<CompletionEvent>) {
+        debug_assert!(batch.is_empty());
+        debug_assert_eq!(now, self.next, "wheel drained out of cycle order");
+        std::mem::swap(batch, &mut self.buckets[slot(now)]);
+        while self.far.peek().is_some_and(|ev| ev.0.at <= now) {
+            batch.push(self.far.pop().expect("peeked").0);
+        }
+        batch.sort_unstable();
+        self.next = now + 1;
+    }
+
+    /// Events scheduled and not yet drained (diagnostics).
+    pub fn len(&self) -> usize {
+        self.buckets.iter().map(Vec::len).sum::<usize>() + self.far.len()
+    }
 }
 
 #[cfg(test)]
@@ -185,5 +248,58 @@ mod tests {
         }
         assert_eq!(slab.live(), 100);
         assert_eq!(slab.capacity(), 100, "all inserts after free reuse slots");
+    }
+
+    fn event(at: u64, tag: u64) -> CompletionEvent {
+        CompletionEvent {
+            at,
+            ctx: crate::ids::CtxId(0),
+            seq: 0,
+            tag: crate::ids::InstTag(tag),
+            result: None,
+        }
+    }
+
+    multipath_testkit::prop_test! {
+        /// Drained once per cycle, the wheel hands out the `(at, tag)`
+        /// sequence a heap of the same pushes pops, latencies beyond the
+        /// horizon included.
+        fn wheel_drains_in_heap_order(pushes in |rng: &mut multipath_testkit::TestRng| {
+            // (push cycle, latency, tag)
+            rng.vec(0..200, |r| {
+                let latency = if r.chance(0.2) {
+                    r.in_range(WHEEL_SLOTS as u64 - 2..3 * WHEEL_SLOTS as u64)
+                } else {
+                    r.in_range(1..40)
+                };
+                (r.below(600), latency, r.below(1 << 20))
+            })
+        }) {
+            let mut pushes = pushes;
+            pushes.retain(|p| p.1 >= 1);
+            pushes.sort_by_key(|p| p.0);
+            let last = pushes.iter().map(|p| p.0 + p.1).max().unwrap_or(0);
+            let mut wheel = CompletionWheel::new();
+            let mut heap = BinaryHeap::new();
+            let (mut batch, mut next) = (Vec::new(), 0);
+            for now in 0..=last {
+                wheel.take_due(now, &mut batch);
+                let got: Vec<(u64, u64)> = batch.drain(..).map(|e| (e.at, e.tag.0)).collect();
+                let mut want = Vec::new();
+                while heap.peek().is_some_and(|e: &Reverse<CompletionEvent>| e.0.at <= now) {
+                    let e = heap.pop().expect("peeked").0;
+                    want.push((e.at, e.tag.0));
+                }
+                multipath_testkit::prop_assert_eq!(got, want);
+                while next < pushes.len() && pushes[next].0 == now {
+                    let (_, latency, tag) = pushes[next];
+                    wheel.push(event(now + latency, tag));
+                    heap.push(Reverse(event(now + latency, tag)));
+                    next += 1;
+                }
+                multipath_testkit::prop_assert_eq!(wheel.len(), heap.len());
+            }
+            multipath_testkit::prop_assert_eq!(wheel.len(), 0);
+        }
     }
 }

@@ -123,12 +123,7 @@ impl Simulator {
             let m = mem.expect("executed store has an address");
             let addr = m.addr.expect("executed store has an address");
             let width = op.mem_width().expect("store has width").bytes();
-            let memory = &mut self.programs[prog.index()].memory;
-            match width {
-                1 => memory.write_u8(addr, m.store_value as u8),
-                4 => memory.write_u32(addr, m.store_value as u32),
-                _ => memory.write_u64(addr, m.store_value),
-            }
+            self.programs[prog.index()].store(addr, width, m.store_value);
             self.contexts[ctx.index()].sq.remove(tag);
             // Charge the cache for the write (write-allocate at commit).
             let asid = self.programs[prog.index()].asid;

@@ -4,6 +4,10 @@
 use multipath_branch::PredictorConfig;
 use multipath_mem::HierarchyConfig;
 
+/// The most hardware contexts a machine may have (the paper's 8), so
+/// per-context working sets fit fixed-size stack arrays.
+pub(crate) const MAX_CONTEXTS: usize = 8;
+
 /// Which of the paper's mechanisms are enabled.
 ///
 /// The six configurations of Figures 3 and 4 are provided as constructors:
@@ -467,7 +471,7 @@ impl SimConfig {
     /// never supply the rename stage).
     pub fn validate(&self) {
         assert!(
-            self.contexts >= 1 && self.contexts <= 8,
+            self.contexts >= 1 && self.contexts <= MAX_CONTEXTS,
             "1..=8 contexts supported"
         );
         assert!(

@@ -13,28 +13,15 @@ impl Simulator {
     /// Runs one fetch cycle.
     pub(crate) fn fetch_stage(&mut self) {
         self.finalize_alternates();
-        // Selection runs on reusable scratch buffers: no per-cycle Vecs.
-        let mut icounts = std::mem::take(&mut self.scratch.icounts);
-        self.fill_icounts(&mut icounts);
-        let mut candidates = std::mem::take(&mut self.scratch.candidates);
-        candidates.clear();
-        candidates.extend(
-            (0..self.contexts.len())
-                .map(|i| CtxId(i as u8))
-                .filter(|&c| self.can_fetch(c)),
-        );
-        candidates.sort_by_key(|c| icounts[c.index()]);
-
+        let order = self.icount_order(|c| self.can_fetch(c));
         let mut budget = self.config.fetch_total;
-        for &ctx in candidates.iter().take(self.config.fetch_threads) {
+        for ctx in order.iter().take(self.config.fetch_threads) {
             if budget == 0 {
                 break;
             }
             let max = budget.min(self.config.fetch_per_thread);
             budget -= self.fetch_block(ctx, max);
         }
-        self.scratch.icounts = icounts;
-        self.scratch.candidates = candidates;
     }
 
     /// Whether a context may fetch this cycle.
@@ -104,8 +91,7 @@ impl Simulator {
                 // `try_start_recycle` set the new fetch PC.
                 return fetched;
             }
-            let word = self.programs[prog.index()].memory.read_u32(pc);
-            let inst = Inst::decode(word).unwrap_or_else(Inst::halt);
+            let inst = self.programs[prog.index()].fetch(pc);
             let (pred, next_pc, ends_block) = self.predict_next(ctx, &inst, pc);
             self.contexts[ctx.index()]
                 .decode_pipe

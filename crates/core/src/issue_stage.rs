@@ -17,7 +17,6 @@ use crate::lsq::StoreEntry;
 use crate::regfile::RegFiles;
 use crate::sim::{CompletionEvent, Simulator};
 use multipath_isa::{FuClass, OperandClass};
-use std::cmp::Reverse;
 
 /// An instruction-queue entry (the wakeup/select window).
 #[derive(Debug, Clone, Copy)]
@@ -476,13 +475,13 @@ impl Simulator {
             self.probe(ctx, pc, crate::probe::EventKind::Issue { class });
         }
         self.contexts[ctx.index()].in_flight += 1;
-        self.events.push(Reverse(CompletionEvent {
+        self.events.push(CompletionEvent {
             at: complete_at.max(self.cycle + 1),
             ctx,
             seq: iq.seq,
             tag: iq.tag,
             result,
-        }));
+        });
     }
 
     /// Computes addresses of pending stores whose base registers are ready

@@ -47,12 +47,10 @@ impl MapTable {
         self.regions[to.index()] = src;
     }
 
-    /// Iterates the current mappings of a region (for seeding and audits).
-    pub fn region(&self, ctx: CtxId) -> impl Iterator<Item = (Reg, PhysReg)> + '_ {
-        self.regions[ctx.index()]
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.map(|p| (Reg::from_index(i), p)))
+    /// Iterates the physical registers a region maps, in logical-register
+    /// order (reference accounting when regions are seeded or copied).
+    pub fn pregs(&self, ctx: CtxId) -> impl Iterator<Item = PhysReg> + '_ {
+        self.regions[ctx.index()].iter().flatten().copied()
     }
 
     /// Number of regions (contexts).
@@ -116,8 +114,9 @@ mod tests {
     #[test]
     fn region_iterator_lists_mappings() {
         let mut m = MapTable::new(1);
-        m.set(CtxId(0), Reg::Int(IntReg::R1), preg(4));
-        let all: Vec<_> = m.region(CtxId(0)).collect();
-        assert_eq!(all, vec![(Reg::Int(IntReg::R1), preg(4))]);
+        m.set(CtxId(0), Reg::Int(IntReg::R7), preg(4));
+        m.set(CtxId(0), Reg::Int(IntReg::R1), preg(9));
+        let all: Vec<_> = m.pregs(CtxId(0)).collect();
+        assert_eq!(all, vec![preg(9), preg(4)]);
     }
 }

@@ -24,18 +24,13 @@ impl Simulator {
     /// Runs one rename cycle.
     pub(crate) fn rename_stage(&mut self) {
         let mut budget = self.config.rename_width;
-        let mut icounts = std::mem::take(&mut self.scratch.icounts);
-        let mut order = std::mem::take(&mut self.scratch.order);
-        self.fill_icounts(&mut icounts);
-        order.clear();
-        order.extend((0..self.contexts.len()).map(|i| CtxId(i as u8)));
-        order.sort_by_key(|c| icounts[c.index()]);
+        let order = self.icount_order(|_| true);
 
         'stage: {
             // Phase A: fetched-path instructions. A thread with an active
             // stream still renames its *pre-stream* decode items here —
             // they are older than the trace.
-            for &ctx in &order {
+            for ctx in order.iter() {
                 if budget == 0 {
                     break 'stage;
                 }
@@ -43,7 +38,7 @@ impl Simulator {
             }
             // Phase B: recycled instructions fill the remaining slots, once
             // the pre-stream fetched instructions have cleared.
-            for &ctx in &order {
+            for ctx in order.iter() {
                 if budget == 0 {
                     break 'stage;
                 }
@@ -61,8 +56,6 @@ impl Simulator {
                 }
             }
         }
-        self.scratch.icounts = icounts;
-        self.scratch.order = order;
     }
 
     /// Enforces the alternate-path instruction cap (Section 5.2) at the

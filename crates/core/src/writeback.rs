@@ -11,12 +11,9 @@ use multipath_isa::OperandClass;
 impl Simulator {
     /// Processes all completions due this cycle.
     pub(crate) fn writeback_stage(&mut self) {
-        loop {
-            let due = matches!(self.events.peek(), Some(ev) if ev.0.at <= self.cycle);
-            if !due {
-                break;
-            }
-            let ev = self.events.pop().expect("peeked").0;
+        let mut due = std::mem::take(&mut self.scratch.due);
+        self.events.take_due(self.cycle, &mut due);
+        for ev in due.drain(..) {
             self.contexts[ev.ctx.index()].in_flight =
                 self.contexts[ev.ctx.index()].in_flight.saturating_sub(1);
             let al = &self.contexts[ev.ctx.index()].al;
@@ -55,6 +52,7 @@ impl Simulator {
                 self.resolve_branch(ev.ctx, ev.seq);
             }
         }
+        self.scratch.due = due;
         self.resolve_branches_in_order();
     }
 
