@@ -8,7 +8,8 @@
 //! request set.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
+use std::time::{Duration, Instant};
 
 /// A parsed HTTP request.
 #[derive(Debug)]
@@ -46,13 +47,23 @@ pub enum RequestError {
     Malformed(String),
 }
 
+/// The longest request or header line accepted, terminator included.
+pub const MAX_LINE_BYTES: usize = 8 * 1024;
+/// The most header lines accepted.
+pub const MAX_HEADERS: usize = 100;
+/// The most bytes accepted for the request line and headers together.
+pub const MAX_HEAD_BYTES: usize = 64 * 1024;
+
 /// Reads and parses one request from the connection. Bodies larger than
-/// `max_body` bytes are rejected without being read.
+/// `max_body` bytes are rejected without being read; a head that breaks
+/// [`MAX_LINE_BYTES`], [`MAX_HEADERS`] or [`MAX_HEAD_BYTES`] is malformed,
+/// and reading stops there.
 pub fn read_request(
     stream: &mut BufReader<TcpStream>,
     max_body: usize,
 ) -> Result<Request, RequestError> {
-    let line = read_line(stream)?;
+    let mut head_budget = MAX_HEAD_BYTES;
+    let line = read_line(stream, &mut head_budget)?;
     let mut parts = line.split(' ');
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v)) if !m.is_empty() && v.starts_with("HTTP/1.") => (m, t, v),
@@ -79,9 +90,14 @@ pub fn read_request(
 
     let mut headers = Vec::new();
     loop {
-        let line = read_line(stream)?;
+        let line = read_line(stream, &mut head_budget)?;
         if line.is_empty() {
             break;
+        }
+        if headers.len() == MAX_HEADERS {
+            return Err(RequestError::Malformed(format!(
+                "more than {MAX_HEADERS} header lines"
+            )));
         }
         let (name, value) = line
             .split_once(':')
@@ -121,6 +137,28 @@ pub fn read_request(
         headers,
         body,
     })
+}
+
+/// Closes the sending side after an error answered before the request was
+/// read to its end, then reads and discards what the client still sends:
+/// up to 4 MiB, for up to 2 s. Closing a socket with unread input resets
+/// the connection, and a reset can reach the client before it has read the
+/// answer.
+pub fn linger(reader: &mut BufReader<TcpStream>) {
+    const MAX_BYTES: usize = 4 << 20;
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let _ = reader.get_ref().shutdown(Shutdown::Write);
+    let _ = reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_millis(250)));
+    let mut buf = [0u8; 8192];
+    let mut read = 0;
+    while read < MAX_BYTES && Instant::now() < deadline {
+        match reader.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => read += n,
+        }
+    }
 }
 
 /// Writes a complete `Content-Length`-framed response and flushes it.
@@ -191,10 +229,16 @@ impl<'a> ChunkedWriter<'a> {
     }
 }
 
-/// Reads one CRLF-terminated line, without the terminator.
-fn read_line(reader: &mut BufReader<TcpStream>) -> Result<String, RequestError> {
+/// Reads one CRLF-terminated line, without the terminator, charging its
+/// bytes to `head_budget`. Reads at most one byte past the limit.
+fn read_line(
+    reader: &mut BufReader<TcpStream>,
+    head_budget: &mut usize,
+) -> Result<String, RequestError> {
+    let limit = MAX_LINE_BYTES.min(*head_budget);
     let mut line = String::new();
     reader
+        .take(limit as u64 + 1)
         .read_line(&mut line)
         .map_err(|e| RequestError::Malformed(format!("read line: {e}")))?;
     if line.is_empty() {
@@ -202,6 +246,14 @@ fn read_line(reader: &mut BufReader<TcpStream>) -> Result<String, RequestError> 
             "connection closed mid-request".to_owned(),
         ));
     }
+    if line.len() > limit {
+        return Err(RequestError::Malformed(if limit == MAX_LINE_BYTES {
+            format!("a request line or header is longer than {MAX_LINE_BYTES} bytes")
+        } else {
+            format!("the request head is longer than {MAX_HEAD_BYTES} bytes")
+        }));
+    }
+    *head_budget -= line.len();
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
     }

@@ -268,11 +268,13 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
                 "payload_too_large",
                 &msg,
             );
+            http::linger(&mut reader);
             return;
         }
         Err(http::RequestError::Malformed(msg)) => {
             state.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
             respond_error(&mut write_half, 400, "Bad Request", "bad_request", &msg);
+            http::linger(&mut reader);
             return;
         }
     };

@@ -323,6 +323,17 @@ mod tests {
     }
 
     #[test]
+    fn a_million_open_brackets_is_an_error_not_a_stack_overflow() {
+        // A spawned thread gets the default 2 MiB stack, like a server
+        // worker; unbounded recursion here used to abort the process.
+        let body = "[".repeat(1_000_000);
+        let parsed = std::thread::spawn(move || RunRequest::parse(&body))
+            .join()
+            .expect("parsing thread survives");
+        assert!(parsed.unwrap_err().contains("nesting deeper than 128"));
+    }
+
+    #[test]
     fn cache_key_is_stable_across_json_key_order() {
         let a = RunRequest::parse(
             r#"{"benches": ["compress","gcc"], "seed": 3, "commits": 500, "features": "rec"}"#,

@@ -4,8 +4,11 @@
 
 use multipath_serve::{ServeConfig, Server, ServerHandle};
 use multipath_testkit::{http, Json};
+use std::io::{BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn start(config: ServeConfig) -> ServerHandle {
     Server::bind(&ServeConfig {
@@ -291,6 +294,83 @@ fn body_size_limit_is_enforced() {
         doc.get("error").and_then(Json::as_str),
         Some("payload_too_large")
     );
+    handle.shutdown();
+}
+
+/// Asserts `reply` is a 400 with a `multipath-serve-error/v1` body whose
+/// message contains `why`.
+fn assert_bad_request(reply: &http::HttpResponse, why: &str) {
+    assert_eq!(reply.status, 400, "{}", reply.text());
+    let doc = Json::parse(&reply.text()).unwrap();
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some("multipath-serve-error/v1")
+    );
+    assert_eq!(doc.get("error").and_then(Json::as_str), Some("bad_request"));
+    let message = doc.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains(why), "{message}");
+}
+
+/// Sends raw request bytes and reads the response. The bytes go from a
+/// helper thread, because the server may answer before it has read them
+/// all.
+fn send_raw(addr: SocketAddr, bytes: Vec<u8>) -> http::HttpResponse {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        let _ = writer.write_all(&bytes);
+        let _ = writer.shutdown(std::net::Shutdown::Write);
+    });
+    let reply = http::read_response(BufReader::new(stream)).expect("a response");
+    let _ = sender.join();
+    reply
+}
+
+#[test]
+fn deeply_nested_json_is_a_bad_request() {
+    let handle = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr();
+    let reply = http::post_json(addr, "/v1/run", &"[".repeat(1_000_000)).unwrap();
+    assert_bad_request(&reply, "nesting deeper than 128");
+    assert_eq!(http::get(addr, "/healthz").unwrap().status, 200);
+    handle.shutdown();
+}
+
+#[test]
+fn oversized_request_heads_are_bad_requests() {
+    let handle = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr();
+
+    let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(1 << 20));
+    assert_bad_request(&send_raw(addr, long_line.into_bytes()), "longer than 8192");
+    assert_eq!(http::get(addr, "/healthz").unwrap().status, 200);
+
+    let mut many_headers = String::from("GET /healthz HTTP/1.1\r\n");
+    for i in 0..10_000 {
+        many_headers.push_str(&format!("X-Header-{i}: {i}\r\n"));
+    }
+    many_headers.push_str("\r\n");
+    assert_bad_request(&send_raw(addr, many_headers.into_bytes()), "more than 100");
+    assert_eq!(http::get(addr, "/healthz").unwrap().status, 200);
+
+    // Twenty 4 KB headers pass the line and count limits but not the
+    // 64 KiB total.
+    let mut big_head = String::from("GET /healthz HTTP/1.1\r\n");
+    for i in 0..20 {
+        big_head.push_str(&format!("X-Big-{i}: {}\r\n", "v".repeat(4000)));
+    }
+    big_head.push_str("\r\n");
+    assert_bad_request(&send_raw(addr, big_head.into_bytes()), "longer than 65536");
+    assert_eq!(http::get(addr, "/healthz").unwrap().status, 200);
     handle.shutdown();
 }
 
