@@ -109,6 +109,8 @@ struct PoolShared {
     capacity: usize,
     /// Jobs currently executing (not counting queued ones).
     running: AtomicUsize,
+    /// Jobs that panicked.
+    panics: AtomicUsize,
 }
 
 struct PoolQueue {
@@ -162,6 +164,7 @@ impl WorkerPool {
             available: Condvar::new(),
             capacity: capacity.max(1),
             running: AtomicUsize::new(0),
+            panics: AtomicUsize::new(0),
         });
         let workers = (0..threads.max(1))
             .map(|i| {
@@ -209,6 +212,12 @@ impl WorkerPool {
         self.shared.running.load(Ordering::Relaxed)
     }
 
+    /// Jobs that panicked. A panicking job ends, its worker takes the
+    /// next one.
+    pub fn panics(&self) -> usize {
+        self.shared.panics.load(Ordering::Relaxed)
+    }
+
     /// The worker-thread count.
     pub fn threads(&self) -> usize {
         self.workers.len()
@@ -253,7 +262,12 @@ fn worker_loop(shared: &PoolShared) {
             }
         };
         shared.running.fetch_add(1, Ordering::Relaxed);
-        job();
+        // The pool cannot know the invariants of state a job shares; it
+        // only keeps the worker alive. Shared locks a panic interrupts are
+        // poisoned, so their owners see it.
+        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
+            shared.panics.fetch_add(1, Ordering::Relaxed);
+        }
         shared.running.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -329,6 +343,30 @@ mod tests {
         *lock.lock().unwrap() = true;
         cv.notify_all();
         pool.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_its_worker_serving() {
+        let pool = WorkerPool::new(1, 16);
+        pool.try_execute(|| panic!("job failed")).unwrap();
+        let done = Arc::new(AtomicUsize::new(0));
+        for _ in 0..10 {
+            let done = done.clone();
+            pool.try_execute(move || {
+                done.fetch_add(1, Ordering::SeqCst);
+            })
+            .unwrap();
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while (done.load(Ordering::SeqCst) < 10 || pool.running() > 0)
+            && std::time::Instant::now() < deadline
+        {
+            std::thread::yield_now();
+        }
+        assert_eq!(pool.panics(), 1);
+        assert_eq!(pool.running(), 0);
+        pool.shutdown();
+        assert_eq!(done.load(Ordering::SeqCst), 10);
     }
 
     #[test]

@@ -138,7 +138,7 @@ impl Simulator {
         }
         self.stats.committed += 1;
         self.stats.committed_per_program[prog.index()] += 1;
-        if self.probing() {
+        if self.wants(crate::probe::EventKind::COMMIT) {
             let class = crate::probe::InstClass::of(op);
             self.probe(ctx, snap.pc, crate::probe::EventKind::Commit { class });
         }

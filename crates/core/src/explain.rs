@@ -21,7 +21,7 @@
 //!   report, regenerated alongside the fig3–fig6/table1 harness.
 
 use crate::probe::{json_str_array, json_u64_array};
-use crate::probe::{Event, EventKind, InstClass, ProbeSink, RefuseReason, ReuseDeny};
+use crate::probe::{Event, EventFilter, EventKind, InstClass, ProbeSink, RefuseReason, ReuseDeny};
 use crate::stats::Stats;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -148,6 +148,23 @@ impl AttributionSink {
 }
 
 impl ProbeSink for AttributionSink {
+    fn consumes(&self) -> EventFilter {
+        EventFilter::of(&[
+            EventKind::RENAME,
+            EventKind::RECYCLE,
+            EventKind::REUSE,
+            EventKind::COMMIT,
+            EventKind::REUSE_DENIED,
+            EventKind::RESOLVE,
+            EventKind::FORK,
+            EventKind::RESPAWN,
+            EventKind::FORK_REFUSED,
+            EventKind::SQUASH,
+            EventKind::PREG_STALL,
+            EventKind::PROMOTE,
+        ])
+    }
+
     fn event(&mut self, ev: &Event) {
         match ev.kind {
             EventKind::Rename { class } => self.renamed_by_class[class.index()] += 1,
@@ -544,6 +561,20 @@ impl PathTreeSink {
 }
 
 impl ProbeSink for PathTreeSink {
+    fn consumes(&self) -> EventFilter {
+        EventFilter::of(&[
+            EventKind::FORK,
+            EventKind::RESPAWN,
+            EventKind::PROMOTE,
+            EventKind::MERGE,
+            EventKind::BACK_MERGE,
+            EventKind::RENAME,
+            EventKind::RECYCLE,
+            EventKind::REUSE,
+            EventKind::SQUASH,
+        ])
+    }
+
     fn event(&mut self, ev: &Event) {
         match ev.kind {
             EventKind::Fork { alt } => self.spawn(PathNodeKind::Fork, ev.ctx, alt, ev.pc, ev.cycle),

@@ -402,19 +402,17 @@ impl Simulator {
         } else if source != target && self.contexts[source.index()].path.live {
             self.contexts[source.index()].path.merges += 1;
         }
-        if self.probing() {
-            let len = end - start_seq;
-            let kind = if back_merge {
-                crate::probe::EventKind::BackMerge { len }
-            } else {
-                crate::probe::EventKind::Merge {
-                    source: source.0,
-                    len,
-                    reuse: reuse_allowed,
-                }
-            };
-            self.probe(target, pc, kind);
-        }
+        let len = end - start_seq;
+        let kind = if back_merge {
+            crate::probe::EventKind::BackMerge { len }
+        } else {
+            crate::probe::EventKind::Merge {
+                source: source.0,
+                len,
+                reuse: reuse_allowed,
+            }
+        };
+        self.probe(target, pc, kind);
         self.contexts[source.index()].last_used = self.cycle;
         true
     }

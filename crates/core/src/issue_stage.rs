@@ -470,7 +470,7 @@ impl Simulator {
         if let Some(e) = self.contexts[ctx.index()].al.at_seq_mut(iq.seq) {
             e.state = EntryState::Issued;
         }
-        if self.probing() {
+        if self.wants(crate::probe::EventKind::ISSUE) {
             let class = crate::probe::InstClass::of(op);
             self.probe(ctx, pc, crate::probe::EventKind::Issue { class });
         }

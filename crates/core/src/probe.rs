@@ -5,7 +5,9 @@
 //! (`crate::sim`), which is a no-op unless probes were attached with
 //! [`Simulator::enable_probes`](crate::Simulator::enable_probes) — the
 //! hot path pays one predictable branch
-//! per emission site and nothing else. Sinks implement [`ProbeSink`];
+//! per emission site and nothing else. With probes attached, the
+//! simulator builds only the event kinds some sink
+//! [consumes](ProbeSink::consumes). Sinks implement [`ProbeSink`];
 //! [`NullSink`]'s methods are empty `#[inline]` bodies, so generic code
 //! driven with it monomorphizes to nothing. The built-in sinks:
 //!
@@ -279,6 +281,39 @@ impl EventKind {
     /// Number of event kinds (width of [`EventFilter`]).
     pub const COUNT: usize = 16;
 
+    /// [`EventKind::Fetch`]'s [`tag`](EventKind::tag).
+    pub const FETCH: usize = 0;
+    /// [`EventKind::Rename`]'s tag.
+    pub const RENAME: usize = 1;
+    /// [`EventKind::Recycle`]'s tag.
+    pub const RECYCLE: usize = 2;
+    /// [`EventKind::Reuse`]'s tag.
+    pub const REUSE: usize = 3;
+    /// [`EventKind::Issue`]'s tag.
+    pub const ISSUE: usize = 4;
+    /// [`EventKind::Commit`]'s tag.
+    pub const COMMIT: usize = 5;
+    /// [`EventKind::Resolve`]'s tag.
+    pub const RESOLVE: usize = 6;
+    /// [`EventKind::Fork`]'s tag.
+    pub const FORK: usize = 7;
+    /// [`EventKind::Respawn`]'s tag.
+    pub const RESPAWN: usize = 8;
+    /// [`EventKind::Merge`]'s tag.
+    pub const MERGE: usize = 9;
+    /// [`EventKind::BackMerge`]'s tag.
+    pub const BACK_MERGE: usize = 10;
+    /// [`EventKind::Squash`]'s tag.
+    pub const SQUASH: usize = 11;
+    /// [`EventKind::PregStall`]'s tag.
+    pub const PREG_STALL: usize = 12;
+    /// [`EventKind::ForkRefused`]'s tag.
+    pub const FORK_REFUSED: usize = 13;
+    /// [`EventKind::ReuseDenied`]'s tag.
+    pub const REUSE_DENIED: usize = 14;
+    /// [`EventKind::Promote`]'s tag.
+    pub const PROMOTE: usize = 15;
+
     /// Names accepted by [`EventFilter::parse`], index-aligned with
     /// [`EventKind::tag`].
     pub const NAMES: [&'static str; EventKind::COUNT] = [
@@ -301,24 +336,25 @@ impl EventKind {
     ];
 
     /// Dense kind index (filter bit position).
+    #[inline]
     pub fn tag(self) -> usize {
         match self {
-            EventKind::Fetch { .. } => 0,
-            EventKind::Rename { .. } => 1,
-            EventKind::Recycle { .. } => 2,
-            EventKind::Reuse { .. } => 3,
-            EventKind::Issue { .. } => 4,
-            EventKind::Commit { .. } => 5,
-            EventKind::Resolve { .. } => 6,
-            EventKind::Fork { .. } => 7,
-            EventKind::Respawn { .. } => 8,
-            EventKind::Merge { .. } => 9,
-            EventKind::BackMerge { .. } => 10,
-            EventKind::Squash { .. } => 11,
-            EventKind::PregStall => 12,
-            EventKind::ForkRefused { .. } => 13,
-            EventKind::ReuseDenied { .. } => 14,
-            EventKind::Promote { .. } => 15,
+            EventKind::Fetch { .. } => EventKind::FETCH,
+            EventKind::Rename { .. } => EventKind::RENAME,
+            EventKind::Recycle { .. } => EventKind::RECYCLE,
+            EventKind::Reuse { .. } => EventKind::REUSE,
+            EventKind::Issue { .. } => EventKind::ISSUE,
+            EventKind::Commit { .. } => EventKind::COMMIT,
+            EventKind::Resolve { .. } => EventKind::RESOLVE,
+            EventKind::Fork { .. } => EventKind::FORK,
+            EventKind::Respawn { .. } => EventKind::RESPAWN,
+            EventKind::Merge { .. } => EventKind::MERGE,
+            EventKind::BackMerge { .. } => EventKind::BACK_MERGE,
+            EventKind::Squash { .. } => EventKind::SQUASH,
+            EventKind::PregStall => EventKind::PREG_STALL,
+            EventKind::ForkRefused { .. } => EventKind::FORK_REFUSED,
+            EventKind::ReuseDenied { .. } => EventKind::REUSE_DENIED,
+            EventKind::Promote { .. } => EventKind::PROMOTE,
         }
     }
 
@@ -366,9 +402,26 @@ impl EventFilter {
         EventFilter(0)
     }
 
+    /// Accepts exactly the kinds whose [tags](EventKind::tag) are listed.
+    pub const fn of(tags: &[usize]) -> EventFilter {
+        let (mut mask, mut i) = (0, 0);
+        while i < tags.len() {
+            mask |= 1 << tags[i];
+            i += 1;
+        }
+        EventFilter(mask)
+    }
+
     /// Whether `kind` passes the filter.
+    #[inline]
     pub fn accepts(self, kind: EventKind) -> bool {
-        self.0 & (1 << kind.tag()) != 0
+        self.accepts_tag(kind.tag())
+    }
+
+    /// Whether kinds with this [tag](EventKind::tag) pass the filter.
+    #[inline]
+    pub fn accepts_tag(self, tag: usize) -> bool {
+        self.0 & (1 << tag) != 0
     }
 
     /// Parses a comma-separated kind list (`"fork,merge,squash"`, or
@@ -404,9 +457,17 @@ pub struct CtxView {
     pub stream: u64,
 }
 
-/// A sink for pipeline events. Both methods default to nothing, so a sink
-/// may observe only events or only cycle boundaries.
+/// A sink for pipeline events. `event` and `cycle_end` default to
+/// nothing, so a sink may observe only events or only cycle boundaries.
 pub trait ProbeSink {
+    /// The event kinds [`ProbeSink::event`] reads: an event of any other
+    /// kind must leave the sink unchanged. The simulator builds and
+    /// dispatches only the kinds some attached sink consumes. The default,
+    /// every kind, is always correct.
+    fn consumes(&self) -> EventFilter {
+        EventFilter::all()
+    }
+
     /// Called for every emitted event.
     #[inline]
     fn event(&mut self, _ev: &Event) {}
@@ -422,7 +483,11 @@ pub trait ProbeSink {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 
-impl ProbeSink for NullSink {}
+impl ProbeSink for NullSink {
+    fn consumes(&self) -> EventFilter {
+        EventFilter::none()
+    }
+}
 
 /// A bounded ring buffer of the most recent events passing a filter.
 #[derive(Debug)]
@@ -462,6 +527,10 @@ impl RingSink {
 }
 
 impl ProbeSink for RingSink {
+    fn consumes(&self) -> EventFilter {
+        self.filter
+    }
+
     fn event(&mut self, ev: &Event) {
         if !self.filter.accepts(ev.kind) {
             return;
@@ -576,6 +645,14 @@ impl IntervalSink {
         self.closed.push(iv);
     }
 
+    /// Counts one context-cycle spent in `role` with `live` active-list
+    /// entries: what [`ProbeSink::cycle_end`] does for each view.
+    #[inline]
+    pub(crate) fn tally(&mut self, role: CtxStateKind, live: u32) {
+        self.cur.role_cycles[role.index()] += 1;
+        self.cur.live_by_role[role.index()] += u64::from(live);
+    }
+
     /// Closes the trailing partial interval against the final stats (call
     /// once, after the run — `Simulator::finish_probes` does this).
     pub fn finish(&mut self, cycle: u64, stats: &Stats) {
@@ -586,6 +663,15 @@ impl IntervalSink {
 }
 
 impl ProbeSink for IntervalSink {
+    fn consumes(&self) -> EventFilter {
+        EventFilter::of(&[
+            EventKind::RENAME,
+            EventKind::RECYCLE,
+            EventKind::REUSE,
+            EventKind::COMMIT,
+        ])
+    }
+
     fn event(&mut self, ev: &Event) {
         match ev.kind {
             EventKind::Rename { class } => self.cur.renamed_by_class[class.index()] += 1,
@@ -605,8 +691,7 @@ impl ProbeSink for IntervalSink {
 
     fn cycle_end(&mut self, cycle: u64, stats: &Stats, ctxs: &[CtxView]) {
         for c in ctxs {
-            self.cur.role_cycles[c.role.index()] += 1;
-            self.cur.live_by_role[c.role.index()] += c.live as u64;
+            self.tally(c.role, c.live);
         }
         if cycle - self.start_cycle >= self.width {
             self.close(cycle, stats);
@@ -746,6 +831,21 @@ impl SpanRecorder {
 }
 
 impl ProbeSink for SpanRecorder {
+    fn consumes(&self) -> EventFilter {
+        let instants = EventFilter::of(&[
+            EventKind::FORK,
+            EventKind::RESPAWN,
+            EventKind::MERGE,
+            EventKind::BACK_MERGE,
+            EventKind::SQUASH,
+            EventKind::RESOLVE,
+            EventKind::PREG_STALL,
+            EventKind::FORK_REFUSED,
+            EventKind::PROMOTE,
+        ]);
+        EventFilter(self.filter.0 & instants.0)
+    }
+
     fn event(&mut self, ev: &Event) {
         if !self.filter.accepts(ev.kind) {
             return;
@@ -894,6 +994,13 @@ impl Probes {
         }
     }
 
+    /// Whether an attached sink reads [`CtxView`]s at cycle end. Without
+    /// one, the simulator skips building them and feeds the interval
+    /// sink's per-context tallies straight from the contexts.
+    pub(crate) fn wants_views(&self) -> bool {
+        self.spans.is_some() || self.timeline.is_some()
+    }
+
     /// Closes the interval series and open spans (end of run).
     pub fn finish(&mut self, cycle: u64, stats: &Stats) {
         if let Some(iv) = &mut self.interval {
@@ -909,6 +1016,23 @@ impl Probes {
 }
 
 impl ProbeSink for Probes {
+    fn consumes(&self) -> EventFilter {
+        let sinks: [Option<&dyn ProbeSink>; 6] = [
+            self.ring.as_ref().map(|s| s as &dyn ProbeSink),
+            self.interval.as_ref().map(|s| s as &dyn ProbeSink),
+            self.spans.as_ref().map(|s| s as &dyn ProbeSink),
+            self.attribution.as_ref().map(|s| s as &dyn ProbeSink),
+            self.tree.as_ref().map(|s| s as &dyn ProbeSink),
+            self.timeline.as_ref().map(|s| s as &dyn ProbeSink),
+        ];
+        EventFilter(
+            sinks
+                .into_iter()
+                .flatten()
+                .fold(0, |m, s| m | s.consumes().0),
+        )
+    }
+
     fn event(&mut self, ev: &Event) {
         if let Some(ring) = &mut self.ring {
             ring.event(ev);
@@ -1071,6 +1195,11 @@ pub fn intervals_csv(sink: &IntervalSink) -> String {
 /// `Simulator::enable_host_profile`; `report` renders shares next to the
 /// simulated work so a slow stage is attributable (e.g. "rename is 40% of
 /// host time at IPC 3.2" — the methodology note in EXPERIMENTS.md).
+///
+/// The simulator times the stages on a sample of about one cycle in 64
+/// and splits each run's measured wall time by the sampled shares, so
+/// [`StageProfile::total`] is the exact host time of the profiled runs
+/// while the six-way split is an estimate.
 #[derive(Debug, Default, Clone)]
 pub struct StageProfile {
     /// Host time in the commit stage.
@@ -1093,6 +1222,38 @@ impl StageProfile {
     /// Total profiled host time across stages.
     pub fn total(&self) -> Duration {
         self.commit + self.writeback + self.issue + self.rename + self.fetch + self.probes
+    }
+
+    /// Adds `wall` split in the proportions of `shares`' stage times
+    /// (evenly across the five pipeline stages if `shares` timed
+    /// nothing), plus `steps` cycles. The parts sum to `wall` exactly.
+    pub(crate) fn add_split(&mut self, wall: Duration, shares: &StageProfile, steps: u64) {
+        let weights = shares.rows().map(|(_, d)| d.as_nanos());
+        let weights = if weights.iter().all(|&w| w == 0) {
+            [1, 1, 1, 1, 1, 0]
+        } else {
+            weights
+        };
+        let sum: u128 = weights.iter().sum();
+        let wall_ns = wall.as_nanos();
+        let mut cum = 0u128;
+        let mut taken = 0u128;
+        let slots = [
+            &mut self.commit,
+            &mut self.writeback,
+            &mut self.issue,
+            &mut self.rename,
+            &mut self.fetch,
+            &mut self.probes,
+        ];
+        for (slot, w) in slots.into_iter().zip(weights) {
+            // Cumulative rounding: the parts telescope to `wall_ns`.
+            cum += w;
+            let upto = wall_ns * cum / sum;
+            *slot += Duration::from_nanos((upto - taken) as u64);
+            taken = upto;
+        }
+        self.steps += steps;
     }
 
     /// `(stage name, accumulated time)` rows, pipeline order.
@@ -1338,6 +1499,33 @@ mod tests {
             })
             .sum();
         assert_eq!(sum, stats.renamed);
+    }
+
+    #[test]
+    fn split_profiles_sum_to_the_wall_time_in_the_sampled_proportions() {
+        let ns = Duration::from_nanos;
+        let shares = StageProfile {
+            commit: ns(1),
+            writeback: ns(2),
+            issue: ns(3),
+            fetch: ns(4),
+            ..StageProfile::default()
+        };
+        let mut p = StageProfile::default();
+        p.add_split(ns(1_000_000_007), &shares, 640);
+        assert_eq!(p.total(), ns(1_000_000_007));
+        assert_eq!(p.steps, 640);
+        assert_eq!(p.writeback.as_nanos(), 200_000_002);
+        assert_eq!(p.fetch.as_nanos(), 400_000_003);
+        assert_eq!((p.rename, p.probes), (Duration::ZERO, Duration::ZERO));
+        // A run too short to be sampled spreads over the five stages.
+        let mut q = StageProfile::default();
+        q.add_split(ns(10), &StageProfile::default(), 3);
+        assert_eq!(q.total(), ns(10));
+        assert_eq!(
+            (q.commit, q.fetch, q.probes),
+            (ns(2), ns(2), Duration::ZERO)
+        );
     }
 
     #[test]

@@ -289,7 +289,7 @@ impl Simulator {
                 }
                 // Exactly one ReuseDenied per recycled-but-not-reused
                 // rename, so the taxonomy sums to `recycled − reused`.
-                if self.probing() {
+                if self.wants(crate::probe::EventKind::REUSE_DENIED) {
                     if let Some(cause) = deny {
                         let class = crate::probe::InstClass::of(entry.inst.op);
                         self.probe(
@@ -500,7 +500,7 @@ impl Simulator {
         self.stats.renamed += 1;
         self.stats.recycled += 1;
         self.stats.reused += 1;
-        if self.probing() {
+        if self.wants(crate::probe::EventKind::REUSE) {
             let class = crate::probe::InstClass::of(entry.inst.op);
             self.probe(ctx, entry.pc, crate::probe::EventKind::Reuse { class });
         }
@@ -725,7 +725,12 @@ impl Simulator {
         if recycled {
             self.stats.recycled += 1;
         }
-        if self.probing() {
+        let tag = if recycled {
+            crate::probe::EventKind::RECYCLE
+        } else {
+            crate::probe::EventKind::RENAME
+        };
+        if self.wants(tag) {
             let class = crate::probe::InstClass::of(op);
             let kind = if recycled {
                 crate::probe::EventKind::Recycle { class }

@@ -89,7 +89,7 @@ impl RunSpec {
         if self.probes.is_some() || self.timeline.is_some() {
             let mut probes = Probes::new(self.probes.unwrap_or_default());
             probes.timeline = self.timeline.map(TimelineSink::new);
-            sim.probes = Some(Box::new(probes));
+            sim.attach_probes(probes);
         }
         sim.host_prof = self.profile.then(StageProfile::default);
         sim.cancel = self.cancel;

@@ -181,22 +181,94 @@ impl Clock for NoClock {
     fn lap(&mut self, _slot: fn(&mut StageProfile) -> &mut Duration) {}
 }
 
-/// The profiled-run clock: host wall time per stage.
+/// Mean distance in cycles between two cycles [`WallClock`] times.
+const SAMPLE_STRIDE: u64 = 64;
+
+/// The host time one `Instant::now` takes, measured once per process as
+/// the fastest of eight batches of back-to-back calls. Every lap spans
+/// one such call, which would otherwise add the same amount to each
+/// stage's sampled time and flatten the shares.
+fn timer_cost() -> Duration {
+    static COST: std::sync::OnceLock<Duration> = std::sync::OnceLock::new();
+    *COST.get_or_init(|| {
+        (0..8)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..32 {
+                    std::hint::black_box(Instant::now());
+                }
+                start.elapsed() / 32
+            })
+            .min()
+            .unwrap_or_default()
+    })
+}
+
+/// The profiled-run clock: laps the stages on one cycle in about
+/// [`SAMPLE_STRIDE`], at strides drawn uniformly from
+/// `[SAMPLE_STRIDE / 2, 3 * SAMPLE_STRIDE / 2)` so the samples cannot
+/// alias with a kernel's loop period. [`Simulator::run`] splits the run's
+/// measured wall time by the sampled stage shares.
 struct WallClock {
-    profile: StageProfile,
+    /// Host time of the sampled cycles, per stage.
+    sampled: StageProfile,
+    /// Cycles started.
+    steps: u64,
+    /// Cycles until the next sampled one.
+    countdown: u64,
+    /// Whether the current cycle is timed.
+    sampling: bool,
+    /// xorshift64 state for the strides.
+    rng: u64,
+    /// [`timer_cost`], subtracted from every lap.
+    timer: Duration,
     last: Instant,
 }
 
-impl Clock for WallClock {
-    fn start(&mut self) {
-        self.profile.steps += 1;
-        self.last = Instant::now();
+impl WallClock {
+    fn new() -> WallClock {
+        let mut clock = WallClock {
+            sampled: StageProfile::default(),
+            steps: 0,
+            countdown: 0,
+            sampling: false,
+            rng: 0x9e37_79b9_7f4a_7c15,
+            timer: timer_cost(),
+            last: Instant::now(),
+        };
+        // The first sample falls anywhere in the first stride, so runs
+        // of at least `SAMPLE_STRIDE` cycles are always sampled.
+        clock.countdown = 1 + clock.next() % SAMPLE_STRIDE;
+        clock
     }
 
+    fn next(&mut self) -> u64 {
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        self.rng
+    }
+}
+
+impl Clock for WallClock {
+    #[inline]
+    fn start(&mut self) {
+        self.steps += 1;
+        self.countdown -= 1;
+        self.sampling = self.countdown == 0;
+        if self.sampling {
+            self.countdown = SAMPLE_STRIDE / 2 + self.next() % SAMPLE_STRIDE;
+            self.last = Instant::now();
+        }
+    }
+
+    #[inline]
     fn lap(&mut self, slot: fn(&mut StageProfile) -> &mut Duration) {
-        let now = Instant::now();
-        *slot(&mut self.profile) += now - self.last;
-        self.last = now;
+        if self.sampling {
+            let now = Instant::now();
+            *slot(&mut self.sampled) += (now - self.last).saturating_sub(self.timer);
+            self.last = now;
+        }
     }
 }
 
@@ -251,6 +323,9 @@ pub struct Simulator {
     /// Attached observability sinks (`None` in production runs: the hot
     /// path pays one branch per probe site and nothing else).
     pub(crate) probes: Option<Box<crate::probe::Probes>>,
+    /// The event kinds `probes` consume (none without probes): the one
+    /// test [`Simulator::probe`] makes before building an event.
+    probe_wants: crate::probe::EventFilter,
     /// Host-side per-stage wall-clock profile, when enabled.
     pub(crate) host_prof: Option<StageProfile>,
 }
@@ -357,6 +432,7 @@ impl Simulator {
             reference: None,
             cancel: None,
             probes: None,
+            probe_wants: crate::probe::EventFilter::none(),
             host_prof: None,
         }
     }
@@ -382,7 +458,7 @@ impl Simulator {
     /// Attaches the observability sinks described by `config`. Until this
     /// is called, every probe site is a single predictable branch.
     pub fn enable_probes(&mut self, config: crate::probe::ProbeConfig) {
-        self.probes = Some(Box::new(crate::probe::Probes::new(config)));
+        self.attach_probes(crate::probe::Probes::new(config));
     }
 
     /// Enables host-side per-stage wall-clock profiling.
@@ -392,6 +468,7 @@ impl Simulator {
 
     /// Detaches and returns the probes (export after a run).
     pub fn take_probes(&mut self) -> Option<Box<crate::probe::Probes>> {
+        self.probe_wants = crate::probe::EventFilter::none();
         self.probes.take()
     }
 
@@ -442,32 +519,43 @@ impl Simulator {
     }
 
     /// Feeds end-of-cycle state (cumulative stats + per-context views) to
-    /// the attached sinks.
+    /// the attached sinks. The views are built only when a sink reads
+    /// them; otherwise only the interval sink needs the contexts, and it
+    /// tallies them directly.
     fn probe_cycle_end(&mut self) {
-        let mut probes = self.probes.take().expect("caller checked");
-        probes.views.clear();
-        for c in &self.contexts {
-            probes.views.push(crate::probe::CtxView {
-                role: crate::trace::CtxStateKind::of(c.state),
-                live: c.al.live() as u32,
-                stream: c
-                    .recycle_stream
-                    .as_ref()
-                    .map(|s| s.remaining())
-                    .unwrap_or(0),
-            });
+        use crate::probe::ProbeSink;
+        use crate::trace::CtxStateKind;
+        let Some(probes) = self.probes.as_deref_mut() else {
+            return;
+        };
+        if !probes.wants_views() {
+            if let Some(iv) = &mut probes.interval {
+                for c in &self.contexts {
+                    iv.tally(CtxStateKind::of(c.state), c.al.live() as u32);
+                }
+                iv.cycle_end(self.cycle, &self.stats, &[]);
+            }
+            return;
         }
-        let views = std::mem::take(&mut probes.views);
-        crate::probe::ProbeSink::cycle_end(&mut *probes, self.cycle, &self.stats, &views);
+        let mut views = std::mem::take(&mut probes.views);
+        views.clear();
+        views.extend(self.contexts.iter().map(|c| crate::probe::CtxView {
+            role: CtxStateKind::of(c.state),
+            live: c.al.live() as u32,
+            stream: c.recycle_stream.as_ref().map_or(0, |s| s.remaining()),
+        }));
+        probes.cycle_end(self.cycle, &self.stats, &views);
         probes.views = views;
-        self.probes = Some(probes);
     }
 
-    /// Emits one pipeline event to the attached sinks. Cheap no-op when
-    /// probes are disabled; emission sites that compute event arguments
-    /// should guard on [`Simulator::probing`] first.
+    /// Emits one pipeline event to the attached sinks. A cheap no-op
+    /// unless some sink consumes `kind`'s kind; emission sites that
+    /// compute event arguments should guard on [`Simulator::wants`] first.
     #[inline]
     pub(crate) fn probe(&mut self, ctx: CtxId, pc: u64, kind: crate::probe::EventKind) {
+        if !self.wants(kind.tag()) {
+            return;
+        }
         if let Some(p) = self.probes.as_mut() {
             crate::probe::ProbeSink::event(
                 &mut **p,
@@ -481,11 +569,19 @@ impl Simulator {
         }
     }
 
-    /// Whether probes are attached (guard for emission sites whose event
-    /// arguments cost anything to compute).
+    /// Whether an attached sink consumes events whose
+    /// [tag](crate::probe::EventKind::tag) is `tag` (guard for emission
+    /// sites whose event arguments cost anything to compute).
     #[inline]
-    pub(crate) fn probing(&self) -> bool {
-        self.probes.is_some()
+    pub(crate) fn wants(&self, tag: usize) -> bool {
+        self.probe_wants.accepts_tag(tag)
+    }
+
+    /// Attaches `probes`, dispatching to them only the event kinds they
+    /// consume.
+    pub(crate) fn attach_probes(&mut self, probes: crate::probe::Probes) {
+        self.probe_wants = crate::probe::ProbeSink::consumes(&probes);
+        self.probes = Some(Box::new(probes));
     }
 
     /// Runs until `total_committed` instructions have committed across all
@@ -494,13 +590,12 @@ impl Simulator {
     /// Returns the accumulated statistics.
     pub fn run(&mut self, total_committed: u64, max_cycles: u64) -> &Stats {
         match self.host_prof.take() {
-            Some(profile) => {
-                let mut clock = WallClock {
-                    profile,
-                    last: Instant::now(),
-                };
+            Some(mut profile) => {
+                let mut clock = WallClock::new();
+                let start = Instant::now();
                 self.run_on(&mut clock, total_committed, max_cycles);
-                self.host_prof = Some(clock.profile);
+                profile.add_split(start.elapsed(), &clock.sampled, clock.steps);
+                self.host_prof = Some(profile);
             }
             None => self.run_on(&mut NoClock, total_committed, max_cycles),
         }

@@ -23,7 +23,7 @@ impl Simulator {
         // after this point: removing them now is timing-neutral.
         self.dequeue_squashed(ctx, from_seq);
         let count = seqs.end.saturating_sub(seqs.start) as usize;
-        if count > 0 && self.probing() {
+        if count > 0 && self.wants(crate::probe::EventKind::SQUASH) {
             let pc = self.contexts[ctx.index()]
                 .al
                 .at_seq(seqs.start)
@@ -452,7 +452,7 @@ impl Simulator {
         a.last_used = cycle;
 
         self.stats.mispredicts_covered += 1;
-        if self.probing() {
+        if self.wants(crate::probe::EventKind::PROMOTE) {
             let pc = self.contexts[old_primary.index()]
                 .al
                 .at_seq(branch_seq)

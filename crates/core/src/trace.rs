@@ -18,7 +18,7 @@
 //! marks an active recycle stream with `N` instructions remaining.
 
 use crate::context::CtxState;
-use crate::probe::{CtxView, ProbeSink};
+use crate::probe::{CtxView, EventFilter, ProbeSink};
 use crate::stats::Stats;
 use std::collections::VecDeque;
 
@@ -168,6 +168,10 @@ impl TimelineSink {
 }
 
 impl ProbeSink for TimelineSink {
+    fn consumes(&self) -> EventFilter {
+        EventFilter::none()
+    }
+
     fn cycle_end(&mut self, cycle: u64, stats: &Stats, ctxs: &[CtxView]) {
         let now = [
             stats.fetched,

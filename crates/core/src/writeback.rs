@@ -149,7 +149,7 @@ impl Simulator {
             .is_some_and(|e| e.recycled);
         // The JRS confidence counter as the fork decision saw it — read
         // before the update below trains it (observation only).
-        let conf = if self.probing() {
+        let conf = if self.wants(crate::probe::EventKind::RESOLVE) {
             self.predictor.confidence_level(pc, history)
         } else {
             0
@@ -184,7 +184,7 @@ impl Simulator {
             )
         });
 
-        if self.probing() && matches!(class, OperandClass::CondBr | OperandClass::Jump) {
+        if matches!(class, OperandClass::CondBr | OperandClass::Jump) {
             self.probe(
                 ctx,
                 pc,

@@ -1,18 +1,21 @@
 //! Integration tests for the observability layer: the Chrome-trace
 //! (Perfetto) exporter, the bounded event ring, per-interval time series
-//! on a real kernel, and the zero-cost `NullSink` path.
+//! on a real kernel, the zero-cost `NullSink` path, the event kinds each
+//! sink consumes, and the sampled host profile.
 //!
 //! The exported JSON is validated by actually parsing it with the
 //! workspace's own `multipath_testkit::Json` parser — the same guarantee
 //! an external viewer gets, with no external crates involved.
 
 use multipath_core::{
-    Event, EventFilter, EventKind, Features, NullSink, ProbeConfig, ProbeSink, RingSink, SimConfig,
+    stats_json, AttributionSink, Event, EventFilter, EventKind, Features, InstClass, NullSink,
+    PathTreeSink, ProbeConfig, ProbeSink, Probes, RefuseReason, ReuseDeny, RingSink, SimConfig,
     Simulator, Stats,
 };
 use multipath_testkit::Json;
 use multipath_workload::{kernels, Benchmark};
 use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 
 fn traced_run(bench: Benchmark, commits: u64) -> Simulator {
     let program = kernels::build(bench, 1);
@@ -212,4 +215,193 @@ fn disabled_probes_change_nothing_and_null_sink_is_inert() {
         kind: EventKind::PregStall,
     });
     sink.cycle_end(1, &Stats::default(), &[]);
+}
+
+/// One event of every kind, in tag order, on context 0 with alternates
+/// in context 1.
+fn one_of_each_kind() -> [EventKind; EventKind::COUNT] {
+    let class = InstClass::Load;
+    [
+        EventKind::Fetch { count: 4 },
+        EventKind::Rename { class },
+        EventKind::Recycle { class },
+        EventKind::Reuse { class },
+        EventKind::Issue { class },
+        EventKind::Commit { class },
+        EventKind::Resolve {
+            mispredicted: true,
+            covered: true,
+            cond: true,
+            conf: 3,
+        },
+        EventKind::Fork { alt: 1 },
+        EventKind::Respawn { alt: 1 },
+        EventKind::Merge {
+            source: 1,
+            len: 6,
+            reuse: true,
+        },
+        EventKind::BackMerge { len: 5 },
+        EventKind::Squash { count: 7 },
+        EventKind::PregStall,
+        EventKind::ForkRefused {
+            reason: RefuseReason::NoSpare,
+        },
+        EventKind::ReuseDenied {
+            class,
+            cause: ReuseDeny::SourceOverwritten,
+        },
+        EventKind::Promote { alt: 1 },
+    ]
+}
+
+#[test]
+fn no_sink_reads_a_kind_outside_what_it_consumes() {
+    let some = EventFilter::parse("fetch,issue,fork,squash,reuse_denied").unwrap();
+    for filter in [EventFilter::all(), some] {
+        // No sink; the filter applies to the ring and the span instants.
+        let none = ProbeConfig {
+            ring: None,
+            interval: None,
+            spans: false,
+            explain: false,
+            filter,
+        };
+        check_masks(none);
+    }
+    // What lets an interval-only run (the service's) skip most dispatch.
+    let interval = Probes::new(ProbeConfig {
+        interval: Some(100),
+        ring: None,
+        spans: false,
+        explain: false,
+        filter: EventFilter::all(),
+    })
+    .consumes();
+    assert_eq!(
+        interval,
+        EventFilter::parse("rename,recycle,reuse,commit").unwrap()
+    );
+    assert_eq!(NullSink.consumes(), EventFilter::none());
+}
+
+/// Feeds every kind, twice, to each sink `none` can be given alone, and
+/// fails if a sink changes on a kind outside the mask `Probes::new`
+/// computes for it. The two explain sinks come as a pair, so each is also
+/// checked against its own mask.
+fn check_masks(none: ProbeConfig) {
+    let sinks = [
+        (
+            "ring",
+            ProbeConfig {
+                ring: Some(8),
+                ..none
+            },
+        ),
+        (
+            "interval",
+            ProbeConfig {
+                interval: Some(10),
+                ..none
+            },
+        ),
+        (
+            "spans",
+            ProbeConfig {
+                spans: true,
+                ..none
+            },
+        ),
+        (
+            "attribution and path tree",
+            ProbeConfig {
+                explain: true,
+                ..none
+            },
+        ),
+    ];
+    for (name, config) in sinks {
+        reads_only_its_mask(name, Probes::new(config));
+    }
+    reads_only_its_mask("attribution", AttributionSink::default());
+    reads_only_its_mask("path tree", PathTreeSink::new());
+}
+
+fn reads_only_its_mask<S: ProbeSink + std::fmt::Debug>(name: &str, mut sink: S) {
+    let mask = sink.consumes();
+    let mut read = 0;
+    // Twice over, so the second round meets the state the first built
+    // (paths forked, spans open).
+    for round in 0..2u64 {
+        for (i, kind) in one_of_each_kind().into_iter().enumerate() {
+            let before = format!("{sink:?}");
+            sink.event(&Event {
+                cycle: 10 * round + i as u64,
+                ctx: 0,
+                pc: 0x1000 + 4 * i as u64,
+                kind,
+            });
+            let changed = format!("{sink:?}") != before;
+            assert!(
+                changed <= mask.accepts(kind),
+                "{name} changed on {} outside its mask {:#x}",
+                kind.name(),
+                mask.0
+            );
+            read += usize::from(changed);
+        }
+    }
+    assert!(read > 0, "{name} read no event at all");
+}
+
+#[test]
+fn interval_series_are_the_same_with_and_without_context_views() {
+    // An interval-only run tallies contexts directly; adding spans makes
+    // the simulator build per-context views instead. Both must agree.
+    let series = |spans: bool| {
+        let program = kernels::build(Benchmark::Go, 1);
+        let mut sim = Simulator::new(
+            SimConfig::big_2_16().with_features(Features::rec_rs_ru()),
+            vec![program],
+        );
+        sim.enable_probes(ProbeConfig {
+            interval: Some(37),
+            spans,
+            ..ProbeConfig::default()
+        });
+        sim.run(3_000, 300_000);
+        sim.finish_probes();
+        let probes = sim.take_probes().expect("probes enabled");
+        stats_json("go", "REC/RS/RU", sim.stats(), probes.interval.as_ref())
+    };
+    assert_eq!(series(false), series(true));
+}
+
+#[test]
+fn sampled_profile_counts_every_cycle_and_totals_the_run_time() {
+    let program = kernels::build(Benchmark::Compress, 1);
+    let mut sim = Simulator::new(
+        SimConfig::big_2_16().with_features(Features::rec_rs_ru()),
+        vec![program],
+    );
+    sim.enable_host_profile();
+    let start = Instant::now();
+    sim.run(20_000, 2_000_000);
+    let outer = start.elapsed();
+    let profile = sim.host_profile().expect("profiling enabled");
+    assert_eq!(profile.steps, sim.cycle());
+    // The six stages split the run's own wall time exactly, which the
+    // caller's clock brackets from outside.
+    let total = profile.total();
+    assert!(total <= outer, "{total:?} exceeds the {outer:?} run");
+    assert!(
+        outer - total < Duration::from_millis(2).max(outer / 20),
+        "{total:?} of a {outer:?} run"
+    );
+    for (stage, time) in profile.rows() {
+        assert!(
+            stage == "probes" || time > Duration::ZERO,
+            "{stage} got no share"
+        );
+    }
 }

@@ -57,10 +57,11 @@ pub use metrics::{QueueSnapshot, ServerMetrics};
 pub use request::{ExplainRequest, RunRequest};
 
 use multipath_bench::parallel::{self, WorkerPool};
-use multipath_core::{stats_json, CancelToken, ProbeConfig, RunSpec};
+use multipath_core::{stats_json, CancelToken, ProbeConfig, RunOutcome, RunSpec};
 use multipath_testkit::Json;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
@@ -342,22 +343,9 @@ fn handle_run(state: &ServerState, stream: &mut TcpStream, request: &http::Reque
         Fetched::Coalesced(doc) => (doc, "coalesced"),
         Fetched::Miss(guard) => match run_document(&run, cancel_for(run.deadline_ms), state) {
             Ok(doc) => (guard.fulfill(doc), "miss"),
-            Err(RunError::DeadlineExceeded) => {
+            Err(err) => {
                 guard.abandon();
-                state
-                    .metrics
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
-                respond_error(
-                    stream,
-                    504,
-                    "Gateway Timeout",
-                    "deadline_exceeded",
-                    &format!(
-                        "simulation exceeded the {} ms deadline",
-                        run.deadline_ms.unwrap_or(0)
-                    ),
-                );
+                respond_run_error(stream, &err, run.deadline_ms);
                 return;
             }
         },
@@ -437,17 +425,14 @@ fn sweep_cell_line(
                 let doc = guard.fulfill(doc);
                 cell_line(index, cell, false, &doc)
             }
-            Err(RunError::DeadlineExceeded) => {
+            Err(err) => {
                 guard.abandon();
-                state
-                    .metrics
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
                 format!(
                     "{{\"schema\":\"multipath-serve-cell/v1\",\"index\":{index},\
-                     \"label\":\"{}\",\"features\":\"{}\",\"error\":\"deadline_exceeded\"}}\n",
+                     \"label\":\"{}\",\"features\":\"{}\",\"error\":\"{}\"}}\n",
                     cell.label(),
-                    cell.features.label()
+                    cell.features.label(),
+                    err.code()
                 )
             }
         },
@@ -556,7 +541,14 @@ fn handle_explain(state: &ServerState, stream: &mut TcpStream, request: &http::R
     let (doc, outcome) = match state.cache.get_or_begin(explain.cache_key()) {
         Fetched::Hit(doc) => (doc, "hit"),
         Fetched::Coalesced(doc) => (doc, "coalesced"),
-        Fetched::Miss(guard) => (guard.fulfill(explain_document(&explain, state)), "miss"),
+        Fetched::Miss(guard) => match explain_document(&explain, state) {
+            Ok(doc) => (guard.fulfill(doc), "miss"),
+            Err(err) => {
+                guard.abandon();
+                respond_run_error(stream, &err, None);
+                return;
+            }
+        },
     };
     let _ = http::write_response(
         stream,
@@ -575,6 +567,7 @@ fn handle_metrics(state: &ServerState, stream: &mut TcpStream) {
             running: pool.running(),
             workers: pool.threads(),
             capacity: state.queue_capacity,
+            panics: pool.panics(),
         },
         None => QueueSnapshot {
             capacity: state.queue_capacity,
@@ -588,11 +581,76 @@ fn handle_metrics(state: &ServerState, stream: &mut TcpStream) {
 }
 
 /// Why a simulation produced no document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// The request's deadline expired before the commit target was
     /// reached; the partial simulation was discarded.
     DeadlineExceeded,
+    /// The simulation panicked with this message; the worker caught it
+    /// and serves on.
+    Panicked(String),
+}
+
+impl RunError {
+    /// The `error` code of the `multipath-serve-error/v1` document (and
+    /// of a sweep's error line).
+    pub fn code(&self) -> &'static str {
+        match self {
+            RunError::DeadlineExceeded => "deadline_exceeded",
+            RunError::Panicked(_) => "internal_error",
+        }
+    }
+}
+
+/// Answers a request whose simulation failed: `504` for a deadline,
+/// `500` for a panic.
+fn respond_run_error(stream: &mut TcpStream, err: &RunError, deadline_ms: Option<u64>) {
+    match err {
+        RunError::DeadlineExceeded => respond_error(
+            stream,
+            504,
+            "Gateway Timeout",
+            err.code(),
+            &format!(
+                "simulation exceeded the {} ms deadline",
+                deadline_ms.unwrap_or(0)
+            ),
+        ),
+        RunError::Panicked(msg) => respond_error(
+            stream,
+            500,
+            "Internal Server Error",
+            err.code(),
+            &format!("simulation panicked: {msg}"),
+        ),
+    }
+}
+
+/// Runs `spec` on the calling worker with its panics caught: a panic
+/// becomes [`RunError::Panicked`] and counts in `worker_panics`, a
+/// cancelled run [`RunError::DeadlineExceeded`] and counts in
+/// `deadline_exceeded`. A finished run's host profile joins `/metrics`.
+fn simulate(spec: RunSpec, state: &ServerState) -> Result<RunOutcome, RunError> {
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| spec.run())).map_err(|payload| {
+        state.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_owned());
+        RunError::Panicked(msg)
+    })?;
+    if outcome.cancelled {
+        state
+            .metrics
+            .deadline_exceeded
+            .fetch_add(1, Ordering::Relaxed);
+        return Err(RunError::DeadlineExceeded);
+    }
+    if let Some(profile) = &outcome.profile {
+        state.metrics.record_profile(profile);
+    }
+    Ok(outcome)
 }
 
 /// A cancel token for an optional millisecond deadline.
@@ -611,7 +669,7 @@ fn run_document(
     cancel: CancelToken,
     state: &ServerState,
 ) -> Result<String, RunError> {
-    let outcome = RunSpec {
+    let spec = RunSpec {
         probes: Some(ProbeConfig {
             interval: Some(run.interval),
             ..ProbeConfig::default()
@@ -619,14 +677,8 @@ fn run_document(
         profile: true,
         cancel: Some(cancel),
         ..run.spec()
-    }
-    .run();
-    if outcome.cancelled {
-        return Err(RunError::DeadlineExceeded);
-    }
-    if let Some(profile) = &outcome.profile {
-        state.metrics.record_profile(profile);
-    }
+    };
+    let outcome = simulate(spec, state)?;
     let probes = outcome.probes.expect("probes were enabled");
     Ok(stats_json(
         &run.label(),
@@ -639,8 +691,8 @@ fn run_document(
 /// Runs one kernel with explain probes and renders the
 /// `multipath-explain/v1` document — the pipeline behind
 /// `multipath explain --json-out`.
-fn explain_document(explain: &ExplainRequest, state: &ServerState) -> String {
-    let outcome = RunSpec {
+fn explain_document(explain: &ExplainRequest, state: &ServerState) -> Result<String, RunError> {
+    let spec = RunSpec {
         probes: Some(ProbeConfig {
             interval: None,
             explain: true,
@@ -648,22 +700,19 @@ fn explain_document(explain: &ExplainRequest, state: &ServerState) -> String {
         }),
         profile: true,
         ..explain.run.spec()
-    }
-    .run();
-    if let Some(profile) = &outcome.profile {
-        state.metrics.record_profile(profile);
-    }
+    };
+    let outcome = simulate(spec, state)?;
     let probes = outcome.probes.expect("probes were enabled");
     let attr = probes.attribution.as_ref().expect("attribution sink on");
     let tree = probes.tree.as_ref().expect("path-tree sink on");
-    multipath_core::explain_json(
+    Ok(multipath_core::explain_json(
         &explain.run.label(),
         explain.run.features.label(),
         &outcome.stats,
         attr,
         tree,
         explain.top,
-    )
+    ))
 }
 
 /// Renders a `multipath-serve-error/v1` body.
@@ -715,6 +764,45 @@ mod tests {
         assert_eq!(escape_json("plain"), "plain");
         assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape_json("\u{1}"), "\\u0001");
+    }
+
+    #[test]
+    fn a_panicking_simulation_is_counted_and_answered_500() {
+        let pool = Arc::new(WorkerPool::new(1, 1));
+        let state = ServerState {
+            cache: ResultCache::new(1 << 10),
+            metrics: ServerMetrics::default(),
+            pool: Arc::downgrade(&pool),
+            queue_capacity: 1,
+            max_body: 1 << 10,
+        };
+        // No programs: `Simulator::new` panics.
+        let spec = RunSpec::new(multipath_core::SimConfig::big_2_16(), Vec::new(), 100);
+        let err = simulate(spec, &state).unwrap_err();
+        assert!(matches!(&err, RunError::Panicked(msg) if msg.contains("programs")));
+        assert_eq!(state.metrics.worker_panics.load(Ordering::Relaxed), 1);
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server_side, _) = listener.accept().unwrap();
+        respond_run_error(&mut server_side, &err, None);
+        drop(server_side);
+        let mut reply = String::new();
+        std::io::Read::read_to_string(&mut client, &mut reply).unwrap();
+        assert!(
+            reply.starts_with("HTTP/1.1 500 Internal Server Error\r\n"),
+            "{reply}"
+        );
+        let body = &reply[reply.find("\r\n\r\n").unwrap() + 4..];
+        let v = Json::parse(body).unwrap();
+        assert_eq!(
+            v.get("schema").and_then(Json::as_str),
+            Some("multipath-serve-error/v1")
+        );
+        assert_eq!(
+            v.get("error").and_then(Json::as_str),
+            Some("internal_error")
+        );
     }
 
     #[test]

@@ -30,6 +30,9 @@ pub struct ServerMetrics {
     pub deadline_exceeded: AtomicU64,
     /// Requests answered with any other 4xx.
     pub bad_requests: AtomicU64,
+    /// Simulations that panicked (`500`); `/metrics` adds the pool's
+    /// count of jobs that panicked elsewhere.
+    pub worker_panics: AtomicU64,
     /// Host time per pipeline stage, summed over every simulation this
     /// server ran.
     pub profile: Mutex<StageProfile>,
@@ -85,6 +88,11 @@ impl ServerMetrics {
         );
         let _ = writeln!(
             out,
+            "  \"worker_panics\": {},",
+            self.worker_panics.load(Ordering::Relaxed) + queue.panics as u64,
+        );
+        let _ = writeln!(
+            out,
             "  \"cache\": {{\n    \"hits\": {},\n    \"misses\": {},\n    \
              \"coalesced\": {},\n    \"evictions\": {},\n    \"oversize\": {},\n    \
              \"bytes\": {},\n    \"entries\": {},\n    \"capacity_bytes\": {}\n  }},",
@@ -124,6 +132,9 @@ pub struct QueueSnapshot {
     pub workers: usize,
     /// Queue capacity (the 429 threshold).
     pub capacity: usize,
+    /// Jobs that panicked outside a simulation; their connection closed
+    /// unanswered.
+    pub panics: usize,
 }
 
 #[cfg(test)]
@@ -154,6 +165,7 @@ mod tests {
                 running: 2,
                 workers: 4,
                 capacity: 64,
+                panics: 1,
             },
         );
         let v = Json::parse(&doc).expect("well-formed metrics JSON");
@@ -167,6 +179,7 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(7)
         );
+        assert_eq!(v.get("worker_panics").and_then(Json::as_u64), Some(1));
         assert_eq!(
             v.get("cache")
                 .and_then(|c| c.get("misses"))

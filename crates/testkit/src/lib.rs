@@ -12,7 +12,9 @@
 //! - [`Json`]: a minimal JSON parser for round-tripping the workspace's
 //!   hand-rendered reports and traces (replacing `serde_json`),
 //! - [`http`]: a minimal blocking HTTP/1.1 client for loopback tests of
-//!   `multipath serve` (replacing `reqwest`/`ureq`).
+//!   `multipath serve` (replacing `reqwest`/`ureq`),
+//! - [`fuzz::mutate`]: byte-level mutation of valid inputs for fuzz
+//!   properties over the parsers.
 //!
 //! # Examples
 //!
@@ -26,6 +28,7 @@
 
 #![deny(missing_docs)]
 
+pub mod fuzz;
 pub mod http;
 pub mod json;
 pub mod prop;
